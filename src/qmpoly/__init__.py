@@ -14,7 +14,7 @@ from .field import GF, field
 from .flags import (Flag, FlagDualityReport, NestingError, NormalizedFlag,
                     RelativeWeights, dual_flag, flag_conullity,
                     flag_polymatroid, flag_weights, normalize_flag,
-                    relative_weights, verify_flag_duality)
+                    random_flag, relative_weights, verify_flag_duality)
 from .lattice import (DEFAULT_SUBSPACE_GUARD, Subspace, SubspaceLattice,
                       all_subspaces, enumerate_subspaces, gaussian_binomial,
                       lattice_size)
@@ -49,5 +49,5 @@ __all__ = [
     "Flag", "NormalizedFlag", "NestingError", "flag_polymatroid",
     "flag_conullity", "flag_weights", "dual_flag", "normalize_flag",
     "verify_flag_duality", "FlagDualityReport", "relative_weights",
-    "RelativeWeights",
+    "RelativeWeights", "random_flag",
 ]

@@ -25,15 +25,14 @@ import random
 import sys
 
 from .delsarte import (DelsarteCode, anticode_weights, gabidulin,
-                       random_code, random_subcode, support_space,
-                       to_polymatroid)
+                       random_code, support_space, to_polymatroid)
 from .errors import GuardExceeded
 from .field import GF, field, is_prime
-from .flags import Flag, NestingError, flag_polymatroid, verify_flag_duality
+from .flags import (Flag, NestingError, flag_polymatroid, random_flag,
+                    verify_flag_duality)
 from .lattice import DEFAULT_SUBSPACE_GUARD, Subspace, enumerate_subspaces
 from .matrix import Matrix
-from .polymatroid import (PolymatroidTable, check_axioms,
-                          generalized_weights, nullity_profiles,
+from .polymatroid import (PolymatroidTable, check_axioms, nullity_profiles,
                           wei_duality_report, weight_witnesses)
 
 EXIT_OK = 0
@@ -151,6 +150,10 @@ def parse_table_obj(obj: dict, guard: int) -> PolymatroidTable:
     f = parse_field(obj)
     n = _require(obj, "n", int)
     m = _require(obj, "m", int)
+    if n < 0:
+        raise InputError("field 'n' must be >= 0")
+    if m < 1:
+        raise InputError("field 'm' must be >= 1")
     values = _require(obj, "values", list)
     lat = enumerate_subspaces(f, n, guard)
     if len(values) != len(lat):
@@ -177,6 +180,8 @@ def load_input(path: str, guard: int):
             objs.append(json.loads(ln))
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}:{i + 1}: invalid JSON ({exc})") from None
+        if not isinstance(objs[-1], dict):
+            raise InputError(f"{path}:{i + 1}: expected a JSON object")
     if any(o.get("kind") == "table" for o in objs):
         if len(objs) != 1:
             raise InputError("a table file holds exactly one line")
@@ -239,8 +244,6 @@ def _axiom_obj(report, lat) -> dict:
 def build_report(kind: str, obj, label, table: PolymatroidTable,
                  want_anticode: bool) -> dict:
     lat = table.lattice
-    weights = generalized_weights(table)
-    dual_weights = generalized_weights(table.dual())
     profiles = nullity_profiles(table)
     axioms = check_axioms(table)
     wei = wei_duality_report(table)
@@ -257,8 +260,8 @@ def build_report(kind: str, obj, label, table: PolymatroidTable,
             "label": label,
         },
         "K": table.rank,
-        "weights": list(weights.values),
-        "dual_weights": list(dual_weights.values),
+        "weights": list(wei.weights.values),
+        "dual_weights": list(wei.dual_weights.values),
     }
     if want_anticode:
         report["a_weights"] = list(anticode_weights(obj).values)
@@ -389,16 +392,9 @@ def _verify_one(kind: str, obj, table, checks: list[str], guard: int,
                 })
 
 
-def _random_flag(f: GF, m: int, n: int, length: int,
-                 rng: random.Random) -> Flag:
-    dims = sorted(rng.sample(range(m * n + 1), length), reverse=True)
-    codes = [random_code(f, m, n, dims[0], rng)]
-    for d in dims[1:]:
-        codes.append(random_subcode(codes[-1], d, rng))
-    return Flag(codes)
-
-
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials: {args.trials} must be >= 0")
     guard = args.max_lattice
     checks = [name for name, on in
               [("axioms", args.axioms), ("wei", args.wei),
@@ -432,7 +428,7 @@ def cmd_verify(args) -> int:
                         [c for c in checks if c != "flag-duality"], guard,
                         failures, infos)
             if "flag-duality" in checks or "wei" in checks:
-                flag = _random_flag(f, m, n, 2 + t % 2, rng)
+                flag = random_flag(f, m, n, 2 + t % 2, rng)
                 table = flag_polymatroid(flag, lat)
                 _verify_one("flag", flag, table, checks, guard,
                             failures, infos)

@@ -168,23 +168,26 @@ def subcode_dims(code: DelsarteCode,
                  lattice: SubspaceLattice) -> tuple[int, ...]:
     """dim of the supported subcode at every lattice member.
 
-    Uses dim(C & S) = dim C + dim S - dim(C + S), so each member costs
-    one rank of a stacked matrix.
+    A codeword sum_i c_i G_i has its row space in X exactly when it
+    annihilates X_perp, so dim C(X) = k - rank M_X, where row i of M_X
+    is the row-major flattening of G_i B^t for the canonical basis B of
+    X_perp.  M_X has only k rows and m*dim(X_perp) columns.
     """
     if code.field != lattice.field or code.ncols != lattice.n:
         raise ValueError("lattice ambient does not match code columns")
     k = code.dim
-    m = code.nrows
+    gens = code.generators
+    members = lattice.members
     out = []
-    for x in lattice:
+    for x, c in zip(members, lattice.complements):
         if x.dim == lattice.n:
             out.append(k)
         elif k == 0 or x.dim == 0:
             out.append(0)
         else:
-            sup = support_space(x, m)
-            joined = vstack(code.basis, sup.basis).rank()
-            out.append(k + m * x.dim - joined)
+            perp_t = members[c].basis.transpose()
+            rows = [vectorize(g @ perp_t) for g in gens]
+            out.append(k - Matrix(code.field, rows, len(rows[0])).rank())
     return tuple(out)
 
 
@@ -215,45 +218,13 @@ def transpose_code(code: DelsarteCode) -> DelsarteCode:
     return DelsarteCode.span(code.field, code.ncols, code.nrows, gens)
 
 
-def _weights_from_dims(n: int, rank: int, lattice: SubspaceLattice,
-                       vals: Sequence[int]) -> tuple[int, ...]:
-    # min dimension at which vals reaches r, for r = 1..rank
-    best = [0] * (n + 1)
-    for j, v in enumerate(vals):
-        d = lattice.dims[j]
-        if v > best[d]:
-            best[d] = v
-    out = []
-    for r in range(1, rank + 1):
-        x = next((x for x in range(n + 1) if best[x] >= r), None)
-        if x is None:
-            raise ValueError(f"support dimension never reaches {r}")
-        out.append(x)
-    return tuple(out)
-
-
 def code_weights(code: DelsarteCode,
                  lattice: SubspaceLattice | None = None) -> WeightProfile:
-    """Generalized weights d_r = min { dim X : dim C(X) >= r }.
-
-    Computed twice, by direct scan of subcode dimensions and through
-    the rank table's conullity; the two routes must agree.
-    """
+    """Generalized weights d_r = min { dim X : dim C(X) >= r }, read
+    from the conullity of the code's rank table."""
     if code.dim == 0:
         raise ValueError("zero code has no weights")
-    lat = lattice if lattice is not None else enumerate_subspaces(
-        code.field, code.ncols)
-    dims = subcode_dims(code, lat)
-    direct = _weights_from_dims(lat.n, code.dim, lat, dims)
-
-    k = code.dim
-    table = PolymatroidTable(
-        lat, code.nrows,
-        [k - dims[lat.complements[j]] for j in range(len(lat))])
-    via_table = generalized_weights(table)
-    assert direct == via_table.values, \
-        "subcode-dimension scan and conullity route disagree"
-    return via_table
+    return generalized_weights(to_polymatroid(code, lattice))
 
 
 def anticode_weights(code: DelsarteCode) -> WeightProfile:
@@ -408,11 +379,7 @@ def gabidulin(base: GF, m: int, n: int, k: int) -> DelsarteCode:
 
 def min_rank_distance(code: DelsarteCode,
                       guard: int = DEFAULT_CODEWORD_GUARD) -> int:
-    """Minimum rank over all nonzero codewords, by full enumeration.
-
-    Cross-checked against the first generalized weight, which counts
-    the same quantity through the subspace lattice.
-    """
+    """Minimum rank over all nonzero codewords, by full enumeration."""
     k = code.dim
     if k == 0:
         raise ValueError("zero code has no distance")
@@ -437,10 +404,6 @@ def min_rank_distance(code: DelsarteCode,
             best = rank
             if best == 1:
                 break
-    lat = enumerate_subspaces(code.field, code.ncols)
-    dims = subcode_dims(code, lat)
-    d1 = min(lat.dims[j] for j, v in enumerate(dims) if v >= 1)
-    assert best == d1, "codeword enumeration and lattice scan disagree"
     return best
 
 

@@ -15,12 +15,15 @@ on normalized flags duality is an exact match between the two routes.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .delsarte import DelsarteCode, subcode, subcode_dims, trace_dual
+from .delsarte import (DelsarteCode, random_code, random_subcode, subcode,
+                       subcode_dims, trace_dual)
+from .field import GF
 from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
-from .polymatroid import PolymatroidTable, WeightProfile
+from .polymatroid import PolymatroidTable, WeightProfile, generalized_weights
 
 
 class NestingError(ValueError):
@@ -100,20 +103,12 @@ class NormalizedFlag(Flag):
                 f"normalized flags in a {m}x{n} space have length <= {bound}")
 
 
-def flag_new(codes: Sequence[DelsarteCode]) -> Flag:
-    return Flag(codes)
-
-
-def _member_dims(flag: Flag, lattice: SubspaceLattice) -> list[tuple[int, ...]]:
-    return [subcode_dims(c, lattice) for c in flag.codes]
-
-
 def flag_polymatroid(flag: Flag,
                      lattice: SubspaceLattice | None = None) -> PolymatroidTable:
     """Alternating-sum rank table of the flag."""
     m, n = flag.shape
     lat = lattice if lattice is not None else enumerate_subspaces(flag.field, n)
-    per_code = _member_dims(flag, lat)
+    per_code = [subcode_dims(c, lat) for c in flag.codes]
     comp = lat.complements
     vals = []
     for j in range(len(lat)):
@@ -142,25 +137,9 @@ def flag_conullity(flag: Flag, x: Subspace) -> int:
 def flag_weights(flag: Flag,
                  lattice: SubspaceLattice | None = None) -> WeightProfile:
     """d_r = min { dim X : alternating subcode dimension at X >= r }."""
-    k = flag.rank
-    if k == 0:
+    if flag.rank == 0:
         raise ValueError("rank-zero flag has no weights")
-    m, n = flag.shape
-    lat = lattice if lattice is not None else enumerate_subspaces(flag.field, n)
-    per_code = _member_dims(flag, lat)
-    best = [0] * (n + 1)
-    for j in range(len(lat)):
-        v = sum((-1) ** i * dims[j] for i, dims in enumerate(per_code))
-        d = lat.dims[j]
-        if v > best[d]:
-            best[d] = v
-    out = []
-    for r in range(1, k + 1):
-        x = next((x for x in range(n + 1) if best[x] >= r), None)
-        if x is None:
-            raise ValueError(f"flag conullity never reaches {r}")
-        out.append(x)
-    return WeightProfile(k, tuple(out))
+    return generalized_weights(flag_polymatroid(flag, lattice))
 
 
 def dual_flag(flag: Flag) -> Flag:
@@ -229,30 +208,25 @@ def relative_weights(outer: DelsarteCode,
                      lattice: SubspaceLattice | None = None) -> RelativeWeights:
     """Weights of the pair flag (outer, inner) and of its dual side.
 
-    The dual profile reads min { dim X : m*dim X - dim inner_dual(X)
-    + dim outer_dual(X) >= r } for r up to m*n - (dim outer - dim inner);
-    the pair satisfies the m-fold partition with rank
+    The dual side reads min { dim X : m*dim X - dim inner_dual(X)
+    + dim outer_dual(X) >= r } for r up to m*n - (dim outer - dim inner).
+    Since dim C_dual(X) = m*dim X - dim C + dim C(X_perp), that is the
+    conullity of the pair table's dual, so both profiles come from one
+    table.  The pair satisfies the m-fold partition with rank
     K = dim outer - dim inner.
     """
     if not (inner.is_subcode_of(outer) and inner.dim < outer.dim):
         raise ValueError("containment must be strict")
-    m, n = outer.shape
-    lat = lattice if lattice is not None else enumerate_subspaces(outer.field, n)
-    pair = Flag((outer, inner))
-    primal = flag_weights(pair, lat)
-    k = outer.dim - inner.dim
-    outer_dual_dims = subcode_dims(trace_dual(outer), lat)
-    inner_dual_dims = subcode_dims(trace_dual(inner), lat)
-    best = [0] * (n + 1)
-    for j in range(len(lat)):
-        v = m * lat.dims[j] - inner_dual_dims[j] + outer_dual_dims[j]
-        d = lat.dims[j]
-        if v > best[d]:
-            best[d] = v
-    out = []
-    for r in range(1, m * n - k + 1):
-        x = next((x for x in range(n + 1) if best[x] >= r), None)
-        if x is None:
-            raise ValueError(f"dual-side support never reaches {r}")
-        out.append(x)
-    return RelativeWeights(primal, WeightProfile(m * n - k, tuple(out)))
+    table = flag_polymatroid(Flag((outer, inner)), lattice)
+    return RelativeWeights(generalized_weights(table),
+                           generalized_weights(table.dual()))
+
+
+def random_flag(f: GF, m: int, n: int, length: int,
+                rng: random.Random) -> Flag:
+    """Strictly decreasing random flag of the given length."""
+    dims = sorted(rng.sample(range(m * n + 1), length), reverse=True)
+    codes = [random_code(f, m, n, dims[0], rng)]
+    for d in dims[1:]:
+        codes.append(random_subcode(codes[-1], d, rng))
+    return Flag(codes)

@@ -71,10 +71,6 @@ class Matrix:
     def __sub__(self, other: Matrix) -> Matrix:
         return self + (-other)
 
-    def scaled(self, c: int) -> Matrix:
-        F = self.field
-        return Matrix(F, [[F.mul(c, v) for v in r] for r in self.rows], self.ncols)
-
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.field != other.field:
             raise ValueError("field mismatch")

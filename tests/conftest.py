@@ -1,6 +1,6 @@
 import pytest
 
-from qmpoly import Flag, field, random_code, random_subcode
+from qmpoly import field
 
 
 @pytest.fixture(scope="session")
@@ -17,11 +17,3 @@ def gf3():
 def gf4():
     return field(2, 2)
 
-
-def random_flag(f, m, n, length, rng):
-    """Strictly decreasing random flag of the given length."""
-    dims = sorted(rng.sample(range(m * n + 1), length), reverse=True)
-    codes = [random_code(f, m, n, dims[0], rng)]
-    for d in dims[1:]:
-        codes.append(random_subcode(codes[-1], d, rng))
-    return Flag(codes)

@@ -219,6 +219,23 @@ def test_input_error_messages_name_fields(tmp_path, capsys):
     code, _, err = run(capsys, "weights", str(path))
     assert code == EXIT_INPUT and "exceed" in err
 
+    path.write_text('{"kind": "table", "p": 2, "e": 1, "n": 1, "m": 0, '
+                    '"values": [0, 0]}\n')
+    code, _, err = run(capsys, "weights", str(path))
+    assert code == EXIT_INPUT and "'m'" in err
+
+    path.write_text('{"kind": "table", "p": 2, "e": 1, "n": -1, "m": 1, '
+                    '"values": [0]}\n')
+    code, _, err = run(capsys, "weights", str(path))
+    assert code == EXIT_INPUT and "'n'" in err
+
+    path.write_text("[1,2,3]\n")
+    code, _, err = run(capsys, "weights", str(path))
+    assert code == EXIT_INPUT and "JSON object" in err
+
+    code, _, err = run(capsys, "verify", "--trials", "-5")
+    assert code == EXIT_INPUT and "--trials" in err
+
 
 def test_guard_env_override(tmp_path, capsys, monkeypatch):
     path = gen_gabidulin(tmp_path, capsys)

@@ -5,7 +5,7 @@ import pytest
 
 from qmpoly import (DelsarteCode, GuardExceeded, Matrix, Subspace,
                     anticode_gap_search, anticode_weights, check_axioms,
-                    code_weights, devectorize, enumerate_subspaces,
+                    code_weights, devectorize, enumerate_subspaces, field,
                     gabidulin, generalized_weights, is_mrd,
                     min_rank_distance, random_code, random_subcode, subcode,
                     subcode_dims, support_space, to_polymatroid, trace_dual,
@@ -79,6 +79,19 @@ def test_conullity_equals_subcode_dimension(gf2):
         dims = subcode_dims(c, lat)
         for i in range(len(lat)):
             assert t.conullity_at(i) == dims[i]
+
+
+def test_subcode_dims_match_zassenhaus_subcode(gf2, gf3, gf4):
+    rng = random.Random(41)
+    for f, m, n in [(gf2, 2, 4), (gf3, 2, 3), (gf4, 2, 3), (field(3, 2), 2, 2)]:
+        lat = enumerate_subspaces(f, n)
+        codes = [random_code(f, m, n, rng.randrange(1, m * n), rng)
+                 for _ in range(3)]
+        codes += [DelsarteCode.zero(f, m, n), DelsarteCode.full(f, m, n)]
+        for c in codes:
+            dims = subcode_dims(c, lat)
+            for j, x in enumerate(lat):
+                assert dims[j] == subcode(c, x).dim
 
 
 def test_gabidulin_231_is_uniform(gf2):

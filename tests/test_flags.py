@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from conftest import random_flag
-
 from qmpoly import (DelsarteCode, Flag, NestingError, NormalizedFlag,
                     Subspace, Verdict, check_axioms, code_weights, dual_flag,
                     enumerate_subspaces, flag_conullity, flag_polymatroid,
                     flag_weights, generalized_weights, normalize_flag,
-                    random_code, random_subcode, relative_weights,
-                    residue_partition, support_space, to_polymatroid,
-                    trace_dual, verify_flag_duality)
+                    random_code, random_flag, random_subcode,
+                    relative_weights, residue_partition, subcode,
+                    support_space, to_polymatroid, trace_dual,
+                    verify_flag_duality)
 
 
 @pytest.fixture(scope="module")
@@ -200,15 +199,31 @@ def test_relative_weights(support_pair, gf2):
         relative_weights(c, c)
 
 
-def test_relative_weights_random_pairs_partition(gf2):
+def trace_dual_side_weights(outer, inner):
+    """Reference dual profile from the trace duals:
+    min { dim X : m*dim X - dim inner_dual(X) + dim outer_dual(X) >= r }."""
+    m, n = outer.shape
+    outer_dual, inner_dual = trace_dual(outer), trace_dual(inner)
+    best = [0] * (n + 1)
+    for x in enumerate_subspaces(outer.field, n):
+        v = (m * x.dim - subcode(inner_dual, x).dim
+             + subcode(outer_dual, x).dim)
+        best[x.dim] = max(best[x.dim], v)
+    rank = m * n - (outer.dim - inner.dim)
+    return tuple(next(d for d in range(n + 1) if best[d] >= r)
+                 for r in range(1, rank + 1))
+
+
+def test_relative_weights_random_pairs_partition(gf2, gf3):
     rng = random.Random(29)
-    for _ in range(8):
-        c1 = random_code(gf2, 3, 2, rng.randrange(2, 7), rng)
-        c2 = random_subcode(c1, rng.randrange(0, c1.dim), rng)
-        rel = relative_weights(c1, c2)
-        k = c1.dim - c2.dim
-        records, ok = residue_partition(2, 3, k, rel.weights, rel.dual_weights)
-        assert ok
-        # dual route agrees with the dual of the pair table
-        table = flag_polymatroid(Flag((c1, c2)))
-        assert rel.dual_weights == generalized_weights(table.dual())
+    for f, m, n in [(gf2, 3, 2), (gf2, 2, 3), (gf2, 3, 3), (gf2, 2, 4),
+                    (gf3, 2, 2)]:
+        for _ in range(4):
+            c1 = random_code(f, m, n, rng.randrange(2, m * n + 1), rng)
+            c2 = random_subcode(c1, rng.randrange(0, c1.dim), rng)
+            rel = relative_weights(c1, c2)
+            k = c1.dim - c2.dim
+            records, ok = residue_partition(n, m, k, rel.weights,
+                                            rel.dual_weights)
+            assert ok
+            assert rel.dual_weights.values == trace_dual_side_weights(c1, c2)
