@@ -11,9 +11,10 @@ with "kind": "table" instead carries a rank table in lattice order:
     {"kind": "table", "p": 2, "e": 1, "n": 2, "m": 2, "values": [...]}
 
 Exit codes: 0 all good, 1 a checked property is violated, 2 input
-error, 3 a resource guard was exceeded.  The default lattice guard can
-be overridden with the QMPOLY_MAX_LATTICE environment variable or the
---max-lattice flag.
+error, 3 a resource guard was exceeded.  Run as a command, the process
+is ended by SIGPIPE when its output pipe closes early, so its status
+lies outside 0-3.  The default lattice guard can be overridden with the
+QMPOLY_MAX_LATTICE environment variable or the --max-lattice flag.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import random
+import signal
 import sys
 
 from .delsarte import (DelsarteCode, anticode_weights, gabidulin,
@@ -320,7 +322,11 @@ def cmd_weights(args) -> int:
         table = flag_polymatroid(obj, lat)
     if isinstance(label, list):
         label = ", ".join(l for l in label if l) or None
-    rep = build_report(kind, obj, label, table, args.anticode)
+    try:
+        rep = build_report(kind, obj, label, table, args.anticode)
+    except ValueError as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     if args.format == "json":
         print(json.dumps(rep))
     else:
@@ -328,7 +334,7 @@ def cmd_weights(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(kind: str, obj, table, checks: list[str], guard: int,
+def _verify_one(kind: str, obj, table, checks: list[str],
                 failures: list[dict], infos: list[str]) -> None:
     lat = table.lattice
     if "axioms" in checks:
@@ -414,7 +420,7 @@ def cmd_verify(args) -> int:
         else:
             table = flag_polymatroid(
                 obj, enumerate_subspaces(obj.field, obj.shape[1], guard))
-        _verify_one(kind, obj, table, checks, guard, failures, infos)
+        _verify_one(kind, obj, table, checks, failures, infos)
     else:
         rng = random.Random(args.seed)
         shapes = [(2, 2), (3, 2), (2, 3)]
@@ -425,13 +431,12 @@ def cmd_verify(args) -> int:
             k = rng.randrange(1, m * n)
             code = random_code(f, m, n, k, rng)
             _verify_one("code", code, to_polymatroid(code, lat),
-                        [c for c in checks if c != "flag-duality"], guard,
+                        [c for c in checks if c != "flag-duality"],
                         failures, infos)
             if "flag-duality" in checks or "wei" in checks:
                 flag = random_flag(f, m, n, 2 + t % 2, rng)
                 table = flag_polymatroid(flag, lat)
-                _verify_one("flag", flag, table, checks, guard,
-                            failures, infos)
+                _verify_one("flag", flag, table, checks, failures, infos)
         infos.append(f"suite: {args.trials} trials, seed {args.seed}")
 
     out = {"schema": SCHEMA, "checks": checks,
@@ -577,6 +582,9 @@ def main(argv=None) -> int:
 
 
 def run() -> None:  # console-script entry point
+    # Die quietly on a closed stdout pipe, as cat and seq do.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

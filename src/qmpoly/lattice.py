@@ -9,6 +9,12 @@ size equals the answer size.
 Lattice members are ordered by dimension and then lexicographically by
 the flattened canonical basis.  The order is stable across runs, so
 rank tables indexed by lattice position compare bit for bit.
+
+The lattice caches one pair operation, the sum.  Intersection and
+containment follow from it and the orthogonal complement map: the dot
+product on GF(q)^n is non-degenerate, so X -> X_perp reverses
+inclusion and is an involution, X & Y = (X_perp + Y_perp)_perp, and
+X <= Y exactly when X + Y = Y.
 """
 
 from __future__ import annotations
@@ -143,25 +149,23 @@ def all_subspaces(field: GF, n: int):
 class SubspaceLattice:
     """All subspaces of GF(q)^n with fixed positions and complements.
 
-    Position 0 is the zero space and the last position is the full
-    space.  Sum, intersection and containment between members are
-    cached by index pair, since axiom scans revisit the same pairs.
+    Members are in `all_subspaces` order: by dimension, then by basis
+    encoding.  So a member of smaller dimension has a smaller index,
+    position 0 is the zero space and the last position is the full
+    space.  Only sums are cached by index pair, since axiom scans
+    revisit the same pairs; intersection and containment are derived
+    from sums and `complements`.
     """
 
-    def __init__(self, field: GF, n: int, members=None):
+    def __init__(self, field: GF, n: int):
         self.field = field
         self.n = n
-        self.members = tuple(members if members is not None
-                             else all_subspaces(field, n))
+        self.members = tuple(all_subspaces(field, n))
         self.index_of = {s: i for i, s in enumerate(self.members)}
-        if len(self.index_of) != len(self.members):
-            raise ValueError("duplicate lattice members")
         self.dims = tuple(s.dim for s in self.members)
         self.complements = tuple(
             self.index_of[s.orthogonal_complement()] for s in self.members)
         self._sum: dict[tuple[int, int], int] = {}
-        self._meet: dict[tuple[int, int], int] = {}
-        self._leq: dict[tuple[int, int], bool] = {}
 
     def __len__(self) -> int:
         return len(self.members)
@@ -195,20 +199,11 @@ class SubspaceLattice:
         return out
 
     def meet_index(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        out = self._meet.get(key)
-        if out is None:
-            out = self.index_of[self.members[i] & self.members[j]]
-            self._meet[key] = out
-        return out
+        c = self.complements
+        return c[self.sum_index(c[i], c[j])]
 
     def leq(self, i: int, j: int) -> bool:
-        key = (i, j)
-        out = self._leq.get(key)
-        if out is None:
-            out = self.members[i] <= self.members[j]
-            self._leq[key] = out
-        return out
+        return self.dims[i] <= self.dims[j] and self.sum_index(i, j) == j
 
     def dimension_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}

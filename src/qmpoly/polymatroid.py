@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import GuardExceeded
 from .field import GF
@@ -132,17 +132,9 @@ class PolymatroidTable:
         self.m = m
         self.values = values
 
-    @classmethod
-    def from_function(cls, lattice: SubspaceLattice, m: int,
-                      fn: Callable[[Subspace], int]) -> PolymatroidTable:
-        return cls(lattice, m, [fn(s) for s in lattice])
-
     @property
     def rank(self) -> int:
         return self.values[self.lattice.full_index]
-
-    def value_at(self, i: int) -> int:
-        return self.values[i]
 
     def rho(self, x: Subspace) -> int:
         return self.values[self.lattice.index(x)]
@@ -214,12 +206,14 @@ def _scan_r1(table: PolymatroidTable) -> AxiomCheck:
 
 
 def _scan_r2(table: PolymatroidTable) -> AxiomCheck:
+    # A member strictly inside another has smaller dimension, hence a
+    # smaller lattice index, so pairs with j <= i never witness R2.
     lat = table.lattice
     n_members = len(lat)
     vals = table.values
     for i in range(n_members):
-        for j in range(n_members):
-            if i != j and vals[i] > vals[j] and lat.leq(i, j):
+        for j in range(i + 1, n_members):
+            if vals[i] > vals[j] and lat.leq(i, j):
                 return AxiomCheck(False, (i, j))
     return AxiomCheck(True)
 
@@ -292,38 +286,31 @@ def generalized_weights(table: PolymatroidTable) -> WeightProfile:
     A rank-0 table yields the empty profile.  If some r <= rank is
     never reached the table breaks the rank axioms and the call fails.
     """
-    k = table.rank
-    if k < 0:
-        raise ValueError("negative rank; table violates the axioms")
-    if k == 0:
-        return WeightProfile(0, ())
-    prof = nullity_profiles(table).conullity
-    n = table.lattice.n
-    out = []
-    for r in range(1, k + 1):
-        x = next((x for x in range(n + 1) if prof[x] >= r), None)
-        if x is None:
-            raise ValueError(
-                f"conullity never reaches {r}; table violates the axioms")
-        out.append(x)
-    return WeightProfile(k, tuple(out))
+    dims = table.lattice.dims
+    return WeightProfile(table.rank,
+                         tuple(dims[i] for i in weight_witnesses(table)))
 
 
 def weight_witnesses(table: PolymatroidTable) -> tuple[int, ...]:
-    """For each r, the first lattice index attaining d_r.
+    """For each r = 1 .. rank, the first lattice index whose conullity
+    reaches r.
 
-    Members are ordered by dimension, so the first index with
-    conullity >= r has minimal dimension.
+    Members are ordered by dimension, so that index has dimension d_r.
+    It never decreases in r, so one pass over the lattice finds all.
     """
     k = table.rank
-    lat = table.lattice
-    out = []
-    for r in range(1, k + 1):
-        idx = next((i for i in range(len(lat))
-                    if table.conullity_at(i) >= r), None)
-        if idx is None:
-            raise ValueError(f"conullity never reaches {r}")
-        out.append(idx)
+    if k < 0:
+        raise ValueError("negative rank; table violates the axioms")
+    vals = table.values
+    out: list[int] = []
+    for i, c in enumerate(table.lattice.complements):
+        while len(out) < min(k - vals[c], k):
+            out.append(i)
+        if len(out) == k:
+            break
+    if len(out) < k:
+        raise ValueError(f"conullity never reaches {len(out) + 1}; "
+                         "table violates the axioms")
     return tuple(out)
 
 

@@ -1,5 +1,12 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 
+import pytest
+
+import qmpoly
 from qmpoly import nullity_table, uniform
 from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
                         load_input, main)
@@ -137,6 +144,36 @@ def write_table(tmp_path, table, name="table.json"):
         "kind": "table", "p": f.p, "e": f.e, "n": table.lattice.n,
         "m": table.m, "values": list(table.values)}) + "\n")
     return path
+
+
+def test_weights_table_with_negative_dual_rank(tmp_path, capsys):
+    # rank 5 > m*n = 1, so the dual table has negative rank
+    path = tmp_path / "neg.json"
+    path.write_text('{"kind": "table", "p": 2, "e": 1, "n": 1, "m": 1, '
+                    '"values": [0, 5]}\n')
+    code, out, err = run(capsys, "weights", str(path), "--format", "json")
+    assert code == EXIT_VIOLATION
+    assert out == ""
+    assert err == "violation: negative rank; table violates the axioms\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_weights_into_closed_pipe_ends_quietly(tmp_path, capsys):
+    path = gen_gabidulin(tmp_path, capsys)
+    src = os.path.dirname(os.path.dirname(qmpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmpoly.cli", "weights", str(path),
+             "--format", "json"],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert proc.returncode not in (EXIT_OK, EXIT_VIOLATION, EXIT_INPUT,
+                                   EXIT_GUARD)
+    assert proc.stderr == b""
 
 
 def test_verify_nullity_table_is_demi(tmp_path, capsys, gf2):

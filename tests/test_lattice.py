@@ -1,7 +1,8 @@
 import pytest
 
 from qmpoly import (GuardExceeded, Subspace, SubspaceLattice, all_subspaces,
-                    enumerate_subspaces, gaussian_binomial, lattice_size)
+                    enumerate_subspaces, field, gaussian_binomial,
+                    lattice_size)
 
 
 def test_gaussian_binomial_examples():
@@ -85,6 +86,17 @@ def test_sum_and_intersection_operators(gf2):
     assert e1 + e2 == Subspace.full(gf2, 2)
     assert (e1 & e2).dim == 0
     assert e1 + e1 == e1
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (2, 1, 4), (3, 1, 3),
+                                   (2, 2, 2), (3, 2, 2)])
+def test_pair_operations_match_subspace_operators(p, e, n):
+    lat = SubspaceLattice(field(p, e), n)
+    for i, x in enumerate(lat):
+        for j, y in enumerate(lat):
+            assert lat.sum_index(i, j) == lat.index(x + y)
+            assert lat.meet_index(i, j) == lat.index(x & y)
+            assert lat.leq(i, j) == (x <= y)
 
 
 def test_canonicalization_of_spanning_sets(gf2):

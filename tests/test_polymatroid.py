@@ -8,6 +8,7 @@ from qmpoly import (PolymatroidTable, Subspace, Verdict, check_axioms,
                     intersection_demipolymatroid, nullity_profiles,
                     nullity_table, residue_partition, sum_polymatroid,
                     uniform, wei_duality_report, weight_witnesses)
+from qmpoly.polymatroid import AxiomCheck
 
 
 def brute_weights(table):
@@ -83,6 +84,78 @@ def test_axiom_counterexamples_are_lattice_order_first(gf2):
     assert rep.r2.witness == (1, 4)
     i, j = rep.r2.witness
     assert lat.leq(i, j) and bad.values[i] > bad.values[j]
+
+
+def brute_axioms(table):
+    """Independent route: scan R1-R4 over all N^2 ordered pairs, using
+    only the Subspace operators +, & and <=."""
+    lat = table.lattice
+    members = list(lat)
+    pairs = [(i, j) for i in range(len(members)) for j in range(len(members))]
+    m = table.m
+    vals = table.values
+
+    def check(bad):
+        return AxiomCheck(True) if bad is None else AxiomCheck(False, bad)
+
+    def r1(vs):
+        return check(next(((i,) for i, x in enumerate(members)
+                           if not 0 <= vs[i] <= m * x.dim), None))
+
+    def r2(vs):
+        return check(next(((i, j) for i, j in pairs if i != j and vs[i] > vs[j]
+                           and members[i] <= members[j]), None))
+
+    def submodular(i, j):
+        x, y = members[i], members[j]
+        return (vals[lat.index(x + y)] + vals[lat.index(x & y)]
+                <= vals[i] + vals[j])
+
+    r3 = check(next(((i, j) for i, j in pairs
+                     if i < j and not submodular(i, j)), None))
+
+    k = vals[lat.index(Subspace.full(lat.field, lat.n))]
+    dual = [vals[lat.index(x.orthogonal_complement())] + m * x.dim - k
+            for x in members]
+    d1, d2 = r1(dual), r2(dual)
+    if not d1.ok:
+        r4 = AxiomCheck(False, d1.witness, note="dual table violates R1")
+    elif not d2.ok:
+        r4 = AxiomCheck(False, d2.witness, note="dual table violates R2")
+    else:
+        r4 = AxiomCheck(True)
+    return r1(vals), r2(vals), r3, r4
+
+
+def test_axiom_witnesses_match_brute_force_scan(gf2, gf3):
+    rng = random.Random(41)
+    gaps = {"r2": set(), "r3": set(), "r4": set()}
+    for f, n in [(gf2, 3), (gf3, 2)]:
+        lat = enumerate_subspaces(f, n)
+        for _ in range(60):
+            blocks = [lat[rng.randrange(len(lat))]
+                      for _ in range(rng.randrange(1, 4))]
+            vals = list(sum_polymatroid(blocks, lat).values)
+            for _ in range(rng.randrange(1, 4)):
+                vals[rng.randrange(len(vals))] += rng.choice((-2, -1, 1, 2))
+            table = PolymatroidTable(lat, len(blocks), vals)
+            rep = check_axioms(table)
+            assert (rep.r1, rep.r2, rep.r3, rep.r4) == brute_axioms(table)
+            for name in gaps:
+                c = getattr(rep, name)
+                if c.ok:
+                    continue
+                i, j = c.witness[0], c.witness[-1]
+                if name == "r3":
+                    gap = (lat.dims[lat.sum_index(i, j)]
+                           - lat.dims[lat.meet_index(i, j)])
+                else:
+                    gap = lat.dims[j] - lat.dims[i]
+                gaps[name].add(gap)
+    # first witnesses beyond cover pairs and length-2 intervals occur
+    assert max(gaps["r2"]) >= 2
+    assert max(gaps["r3"]) >= 3
+    assert max(gaps["r4"]) >= 2
 
 
 def test_generalized_weights_of_uniform_closed_form(gf2, gf3):
