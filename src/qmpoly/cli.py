@@ -13,8 +13,13 @@ with "kind": "table" instead carries a rank table in lattice order:
 Exit codes: 0 all good, 1 a checked property is violated, 2 input
 error, 3 a resource guard was exceeded.  Run as a command, the process
 is ended by SIGPIPE when its output pipe closes early, so its status
-lies outside 0-3.  The default lattice guard can be overridden with the
-QMPOLY_MAX_LATTICE environment variable or the --max-lattice flag.
+lies outside 0-3.
+
+A resource guard exits 3 with one "guard exceeded:" line naming the
+resource, the size needed and the limit.  The subspace lattice guard
+(10^6 members) is raised by --max-lattice or QMPOLY_MAX_LATTICE; the
+guards on the field order (2^16), the matrix space dimension m*n (2^10)
+and the axiom pairs (N^2 for N lattice members, 10^6) are fixed.
 """
 
 from __future__ import annotations
@@ -28,11 +33,11 @@ import sys
 
 from .delsarte import (DelsarteCode, anticode_weights, gabidulin,
                        random_code, support_space, to_polymatroid)
-from .errors import GuardExceeded
+from .errors import GuardExceeded, check_guard
 from .field import GF, field, is_prime
-from .flags import (Flag, NestingError, flag_polymatroid, random_flag,
-                    verify_flag_duality)
-from .lattice import DEFAULT_SUBSPACE_GUARD, Subspace, enumerate_subspaces
+from .flags import Flag, flag_polymatroid, random_flag, verify_flag_duality
+from .lattice import (DEFAULT_SUBSPACE_GUARD, LATTICE_MEMBERS, Subspace,
+                      enumerate_subspaces)
 from .matrix import Matrix
 from .polymatroid import (PolymatroidTable, check_axioms, nullity_profiles,
                           wei_duality_report, weight_witnesses)
@@ -44,6 +49,10 @@ EXIT_GUARD = 3
 
 SCHEMA = "qmpoly.report/1"
 GUARD_ENV = "QMPOLY_MAX_LATTICE"
+# m*n bounds every matrix built from a shape read from outside; the
+# trace dual's kernel alone is an (mn - K) x mn matrix.
+MAX_MATRIX_SPACE = 1 << 10
+MATRIX_SPACE = "matrix space dimension m*n"
 
 
 class InputError(ValueError):
@@ -112,7 +121,7 @@ def parse_field(obj: dict) -> GF:
     if e < 1:
         raise InputError(f"field 'e': {e} must be >= 1")
     f = field(p, e)
-    if "q" in obj and obj["q"] != f.q:
+    if "q" in obj and _require(obj, "q", int) != f.q:
         raise InputError(f"field 'q': {obj['q']} does not equal p^e = {f.q}")
     return f
 
@@ -123,6 +132,7 @@ def parse_code_obj(obj: dict) -> tuple[DelsarteCode, str | None]:
     n = _require(obj, "n", int)
     if m < 1 or n < 1:
         raise InputError("fields 'm' and 'n' must be >= 1")
+    check_guard(MATRIX_SPACE, m * n, MAX_MATRIX_SPACE)
     gens_raw = _require(obj, "generators", list)
     if len(gens_raw) > m * n:
         raise InputError(
@@ -180,10 +190,13 @@ def load_input(path: str, guard: int):
     for i, ln in enumerate(lines):
         try:
             objs.append(json.loads(ln))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also ints past the 4300-digit limit
             raise InputError(f"{path}:{i + 1}: invalid JSON ({exc})") from None
         if not isinstance(objs[-1], dict):
             raise InputError(f"{path}:{i + 1}: expected a JSON object")
+        if objs[-1].get("kind", "table") != "table":
+            raise InputError(
+                f"field 'kind': {objs[-1]['kind']!r} must be 'table' or absent")
     if any(o.get("kind") == "table" for o in objs):
         if len(objs) != 1:
             raise InputError("a table file holds exactly one line")
@@ -194,9 +207,7 @@ def load_input(path: str, guard: int):
         return "code", code, label
     try:
         flag = Flag([c for c, _ in parsed])
-    except NestingError as exc:
-        raise InputError(str(exc)) from None
-    except ValueError as exc:
+    except ValueError as exc:  # NestingError included
         raise InputError(str(exc)) from None
     return "flag", flag, [l for _, l in parsed]
 
@@ -301,25 +312,24 @@ def _print_text_report(rep: dict, out) -> None:
 # -- commands ----------------------------------------------------------
 
 
-def cmd_weights(args) -> int:
-    guard = args.max_lattice
-    kind, obj, label = load_input(args.input, guard)
+def _table_of(kind: str, obj, guard: int) -> PolymatroidTable:
+    """The rank table of a parsed input, on its lattice."""
     if kind == "table":
-        table = obj
-        if args.anticode:
-            raise InputError("--anticode applies to codes, not tables")
-    elif kind == "code":
-        if obj.dim == 0:
-            raise InputError("empty code has no weights")
-        lat = enumerate_subspaces(obj.field, obj.ncols, guard)
-        table = to_polymatroid(obj, lat)
-    else:
-        if args.anticode:
-            raise InputError("--anticode applies to codes, not flags")
-        if obj.rank == 0:
-            raise InputError("rank-zero flag has no weights")
-        lat = enumerate_subspaces(obj.field, obj.shape[1], guard)
-        table = flag_polymatroid(obj, lat)
+        return obj
+    lat = enumerate_subspaces(obj.field, obj.shape[1], guard)
+    return (to_polymatroid if kind == "code" else flag_polymatroid)(obj, lat)
+
+
+def cmd_weights(args) -> int:
+    guard = _lattice_guard(args)
+    kind, obj, label = load_input(args.input, guard)
+    if args.anticode and kind != "code":
+        raise InputError(f"--anticode applies to codes, not {kind}s")
+    if kind == "code" and obj.dim == 0:
+        raise InputError("empty code has no weights")
+    if kind == "flag" and obj.rank == 0:
+        raise InputError("rank-zero flag has no weights")
+    table = _table_of(kind, obj, guard)
     if isinstance(label, list):
         label = ", ".join(l for l in label if l) or None
     try:
@@ -399,9 +409,9 @@ def _verify_one(kind: str, obj, table, checks: list[str],
 
 
 def cmd_verify(args) -> int:
+    guard = _lattice_guard(args)
     if args.trials < 0:
         raise InputError(f"--trials: {args.trials} must be >= 0")
-    guard = args.max_lattice
     checks = [name for name, on in
               [("axioms", args.axioms), ("wei", args.wei),
                ("flag-duality", args.flag_duality)] if on]
@@ -412,15 +422,8 @@ def cmd_verify(args) -> int:
 
     if args.input is not None:
         kind, obj, _ = load_input(args.input, guard)
-        if kind == "table":
-            table = obj
-        elif kind == "code":
-            table = to_polymatroid(
-                obj, enumerate_subspaces(obj.field, obj.ncols, guard))
-        else:
-            table = flag_polymatroid(
-                obj, enumerate_subspaces(obj.field, obj.shape[1], guard))
-        _verify_one(kind, obj, table, checks, failures, infos)
+        _verify_one(kind, obj, _table_of(kind, obj, guard), checks,
+                    failures, infos)
     else:
         rng = random.Random(args.seed)
         shapes = [(2, 2), (3, 2), (2, 3)]
@@ -473,9 +476,11 @@ def cmd_gen(args) -> int:
             raise InputError(
                 f"{args.kind} needs parameters: {' '.join(names)}")
         try:
-            return [int(v) for v in params[:count]]
+            vals = [int(v) for v in params[:count]]
         except ValueError:
             raise InputError(f"{args.kind} parameters must be integers") from None
+        check_guard(MATRIX_SPACE, vals[1] * vals[2], MAX_MATRIX_SPACE)  # q m n first
+        return vals
 
     if args.kind == "gabidulin":
         q, m, n, k = take_ints(4, ["q", "m", "n", "k"])
@@ -517,10 +522,11 @@ def cmd_gen(args) -> int:
 # -- entry point -------------------------------------------------------
 
 
-def _default_guard() -> int:
-    raw = os.environ.get(GUARD_ENV)
-    if raw is None:
-        return DEFAULT_SUBSPACE_GUARD
+def _lattice_guard(args) -> int:
+    """--max-lattice, else QMPOLY_MAX_LATTICE, else the library default."""
+    if args.max_lattice is not None:
+        return args.max_lattice
+    raw = os.environ.get(GUARD_ENV, str(DEFAULT_SUBSPACE_GUARD))
     try:
         return int(raw)
     except ValueError:
@@ -536,10 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser("weights", help="weight profile and duality report")
     pw.add_argument("input", help="code, flag or table file (JSON lines)")
-    pw.add_argument("--format", choices=["text", "json"], default="text")
     pw.add_argument("--anticode", action="store_true",
                     help="also report anticode-based weights")
-    pw.add_argument("--max-lattice", type=int, default=None)
     pw.set_defaults(fn=cmd_weights)
 
     pv = sub.add_parser("verify", help="check axioms and duality theorems")
@@ -550,9 +554,13 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--flag-duality", action="store_true")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--trials", type=int, default=20)
-    pv.add_argument("--format", choices=["text", "json"], default="text")
-    pv.add_argument("--max-lattice", type=int, default=None)
     pv.set_defaults(fn=cmd_verify)
+
+    for p in (pw, pv):
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.add_argument("--max-lattice", type=int, default=None,
+                       help=f"subspace lattice guard (default: {GUARD_ENV} "
+                            f"or {DEFAULT_SUBSPACE_GUARD})")
 
     pg = sub.add_parser("gen", help="generate a code file")
     pg.add_argument("kind", choices=["gabidulin", "uniform-support", "random"])
@@ -570,14 +578,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "max_lattice", None) is None and hasattr(args, "max_lattice"):
-            args.max_lattice = _default_guard()
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GuardExceeded as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
+        knob = (f"raise it with --max-lattice or {GUARD_ENV}"
+                if exc.resource == LATTICE_MEMBERS else "this limit is fixed")
+        print(f"guard exceeded: {exc}; {knob}", file=sys.stderr)
         return EXIT_GUARD
 
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import GuardExceeded
+from .errors import check_guard
 from .field import GF, _digits, _undigits, field
 from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
 from .matrix import Matrix, rowspace_intersect, vstack
@@ -385,10 +385,7 @@ def min_rank_distance(code: DelsarteCode,
         raise ValueError("zero code has no distance")
     q = code.field.q
     count = q ** k - 1
-    if count > guard:
-        raise GuardExceeded(
-            f"code has {count} nonzero words, guard is {guard}",
-            needed=count, guard=guard)
+    check_guard("nonzero codewords", count, guard)
     F = code.field
     rows = code.basis.rows
     width = code.ambient_dim
@@ -435,13 +432,12 @@ class GapCertificate:
     support_weight: int
 
 
-def anticode_gap_search(field: GF, size: int,
-                        guard: int | None = None) -> GapCertificate | None:
+def anticode_gap_search(field: GF, size: int) -> GapCertificate | None:
     """Exhaustively search all codes of square shape size x size for an
     instance with some a_r < d_r.  Returns the first certificate in
     canonical code order, or None if the gap never occurs at this size.
     """
-    ambient = enumerate_subspaces(field, size * size, guard)
+    ambient = enumerate_subspaces(field, size * size)
     for member in ambient:
         if member.dim == 0:
             continue

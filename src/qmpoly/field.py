@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import GuardExceeded
+from .errors import check_guard
 
 DEFAULT_MAX_ORDER = 1 << 16
 
@@ -107,19 +107,17 @@ class GF:
     ----------
     p : prime characteristic
     e : extension degree (1 for prime fields)
-    max_order : guard on q = p^e; table construction is O(q)
+
+    q = p^e is guarded by DEFAULT_MAX_ORDER; table construction is O(q).
     """
 
-    def __init__(self, p: int, e: int = 1, *, max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, p: int, e: int = 1):
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
         if not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         q = p ** e
-        if q > max_order:
-            raise GuardExceeded(
-                f"field order {q} exceeds the guard {max_order}",
-                needed=q, guard=max_order)
+        check_guard("field order", q, DEFAULT_MAX_ORDER)
         self.p = p
         self.e = e
         self.q = q

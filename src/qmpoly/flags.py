@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .delsarte import (DelsarteCode, random_code, random_subcode, subcode,
-                       subcode_dims, trace_dual)
+                       to_polymatroid, trace_dual)
 from .field import GF
 from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
-from .polymatroid import PolymatroidTable, WeightProfile, generalized_weights
+from .polymatroid import (PolymatroidTable, WeightProfile, conullity_table,
+                          generalized_weights)
 
 
 class NestingError(ValueError):
@@ -105,17 +106,11 @@ class NormalizedFlag(Flag):
 
 def flag_polymatroid(flag: Flag,
                      lattice: SubspaceLattice | None = None) -> PolymatroidTable:
-    """Alternating-sum rank table of the flag."""
+    """Alternating sum of the members' rank tables."""
     m, n = flag.shape
     lat = lattice if lattice is not None else enumerate_subspaces(flag.field, n)
-    per_code = [subcode_dims(c, lat) for c in flag.codes]
-    comp = lat.complements
-    vals = []
-    for j in range(len(lat)):
-        acc = 0
-        for i, (code, dims) in enumerate(zip(flag.codes, per_code)):
-            acc += (-1) ** i * (code.dim - dims[comp[j]])
-        vals.append(acc)
+    tables = [to_polymatroid(c, lat).values for c in flag.codes]
+    vals = [sum(col[0::2]) - sum(col[1::2]) for col in zip(*tables)]
     return PolymatroidTable(lat, m, vals)
 
 
@@ -187,7 +182,7 @@ def verify_flag_duality(flag: Flag,
         expected = table.dual().values
     else:
         expected_name = "conullity"
-        expected = tuple(table.conullity_at(j) for j in range(len(lat)))
+        expected = conullity_table(table).values
     mismatch = next((j for j, (a, b) in enumerate(zip(dual_table.values, expected))
                      if a != b), None)
     ok = mismatch is None

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import GuardExceeded
+from .errors import check_guard
 from .field import GF
 from .matrix import Matrix, rowspace_intersect, rowspace_sum, vstack
 
 DEFAULT_SUBSPACE_GUARD = 10 ** 6
+LATTICE_MEMBERS = "subspace lattice members"
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -232,12 +233,8 @@ def enumerate_subspaces(field: GF, n: int,
     """
     if n < 0:
         raise ValueError("ambient dimension must be nonnegative")
-    limit = DEFAULT_SUBSPACE_GUARD if guard is None else guard
-    total = lattice_size(field, n)
-    if total > limit:
-        raise GuardExceeded(
-            f"subspace lattice of GF({field.q})^{n} has {total} members, "
-            f"guard is {limit}", needed=total, guard=limit)
+    check_guard(LATTICE_MEMBERS, lattice_size(field, n),
+                DEFAULT_SUBSPACE_GUARD if guard is None else guard)
     key = (field.p, field.e, n)
     lat = _lattice_cache.get(key)
     if lat is None:

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import GuardExceeded
+from .errors import check_guard
 from .field import GF
 from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
 
@@ -174,12 +174,11 @@ class PolymatroidTable:
                 f"m={self.m}, rank={self.rank})")
 
 
-def uniform(r: int, n: int, m: int, field: GF,
-            guard: int | None = None) -> PolymatroidTable:
+def uniform(r: int, n: int, m: int, field: GF) -> PolymatroidTable:
     """The uniform table rho(X) = m * min(dim X, r)."""
     if not 0 <= r <= n:
         raise ValueError(f"uniform parameter r={r} outside 0..{n}")
-    lat = enumerate_subspaces(field, n, guard)
+    lat = enumerate_subspaces(field, n)
     return PolymatroidTable(lat, m, [m * min(d, r) for d in lat.dims])
 
 
@@ -218,17 +217,12 @@ def _scan_r2(table: PolymatroidTable) -> AxiomCheck:
     return AxiomCheck(True)
 
 
-def check_axioms(table: PolymatroidTable,
-                 pair_guard: int | None = None) -> AxiomReport:
+def check_axioms(table: PolymatroidTable) -> AxiomReport:
     """Scan R1 over members, R2 and R3 over all pairs, and R4 by
     building the dual table and rescanning R1/R2 on it."""
     lat = table.lattice
     n_members = len(lat)
-    limit = DEFAULT_PAIR_GUARD if pair_guard is None else pair_guard
-    if n_members * n_members > limit:
-        raise GuardExceeded(
-            f"axiom pair scan needs {n_members * n_members} pairs, guard is {limit}",
-            needed=n_members * n_members, guard=limit)
+    check_guard("axiom pairs", n_members * n_members, DEFAULT_PAIR_GUARD)
 
     r1 = _scan_r1(table)
     r2 = _scan_r2(table)
@@ -357,12 +351,7 @@ def wei_duality_report(table: PolymatroidTable) -> WeiReport:
 
     residues, partition_ok = residue_partition(n, m, k, weights, dual_weights)
 
-    disjoint_ok = True
-    for r in range(1, dual_weights.rank + 1):
-        for rp in range(1, weights.rank + 1):
-            if (rp - k - r) % m == 0 and \
-                    dual_weights.values[r - 1] == n + 1 - weights.values[rp - 1]:
-                disjoint_ok = False
+    disjoint_ok = all(r.dual_side.isdisjoint(r.primal_side) for r in residues)
     gaps_ok = _monotone_gaps_ok(weights, m) and _monotone_gaps_ok(dual_weights, m)
 
     return WeiReport(n=n, m=m, rank=k, dual_rank=dual.rank,

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -130,11 +131,66 @@ def test_weights_flag_file(tmp_path, capsys):
     assert code == EXIT_INPUT and "subcode" in err
 
 
+def guard_line(err, resource, needed, limit):
+    """The one stderr line of a guard exit, checked for its resource,
+    size needed and limit."""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert err.startswith(f"guard exceeded: {resource}: {needed} needed, "
+                          f"limit {limit}; ")
+    return err
+
+
+LATTICE_KNOBS = "raise it with --max-lattice or QMPOLY_MAX_LATTICE\n"
+
+
 def test_weights_lattice_guard(tmp_path, capsys):
     path = gen_gabidulin(tmp_path, capsys)
     code, _, err = run(capsys, "weights", str(path), "--max-lattice", "2")
     assert code == EXIT_GUARD
     assert "guard" in err
+    assert guard_line(err, "subspace lattice members", 5, 2).endswith(LATTICE_KNOBS)
+
+    # a member count too long for str() is reported by its size
+    path = tmp_path / "wide_table.json"
+    path.write_text('{"kind": "table", "p": 2, "e": 1, "n": 300, "m": 1, '
+                    '"values": []}\n')
+    code, _, err = run(capsys, "weights", str(path))
+    assert code == EXIT_GUARD
+    assert guard_line(err, "subspace lattice members", "at least 2^22502",
+                      10 ** 6).endswith(LATTICE_KNOBS)
+
+
+def test_fixed_guards_name_resource_and_limit(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    cases = [
+        ({"p": 65537, "e": 1, "m": 1, "n": 1, "generators": []},
+         "field order", 65537, 65536),
+        ({"p": 2, "e": 1, "m": 1, "n": 6, "generators": [[[1, 0, 0, 0, 0, 0]]]},
+         "axiom pairs", 2825 ** 2, 10 ** 6),
+        ({"p": 5, "e": 1, "m": 1, "n": 4, "generators": [[[1, 0, 0, 0]]]},
+         "axiom pairs", 1120 ** 2, 10 ** 6),
+    ]
+    for obj, resource, needed, limit in cases:
+        path.write_text(json.dumps(obj) + "\n")
+        code, out, err = run(capsys, "weights", str(path))
+        assert code == EXIT_GUARD and out == ""
+        assert guard_line(err, resource, needed, limit).endswith(
+            "this limit is fixed\n")
+
+
+def test_matrix_space_guard_stops_tiny_inputs(tmp_path, capsys):
+    # Unguarded, both allocate matrices of about (m*n)^2 cells and run
+    # for minutes.
+    path = tmp_path / "wide.json"
+    path.write_text('{"p": 2, "e": 1, "m": 100000, "n": 1, "generators": []}\n')
+    for argv in (["verify", str(path)],
+                 ["gen", "random", "2", "100000", "1", "50000"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_GUARD and out == ""
+        assert guard_line(err, "matrix space dimension m*n", 100000,
+                          1024).endswith("this limit is fixed\n")
 
 
 def write_table(tmp_path, table, name="table.json"):
@@ -273,12 +329,27 @@ def test_input_error_messages_name_fields(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--trials", "-5")
     assert code == EXIT_INPUT and "--trials" in err
 
+    path.write_text('{"p": 2, "e": 1, "q": "2", "m": 2, "n": 2, "generators": []}\n')
+    code, _, err = run(capsys, "weights", str(path))
+    assert code == EXIT_INPUT and "field 'q' must be an integer" in err
+
+    path.write_text('{"p": %s, "e": 1, "m": 1, "n": 1, "generators": []}\n'
+                    % ("1" * 5000))
+    code, _, err = run(capsys, "weights", str(path))
+    assert code == EXIT_INPUT and "JSON" in err
+
+    path.write_text('{"kind": "weird", "p": 2, "e": 1, "m": 2, "n": 2, '
+                    '"generators": [[[1, 0], [0, 0]]]}\n')
+    code, _, err = run(capsys, "weights", str(path))
+    assert code == EXIT_INPUT and "'kind'" in err
+
 
 def test_guard_env_override(tmp_path, capsys, monkeypatch):
     path = gen_gabidulin(tmp_path, capsys)
     monkeypatch.setenv("QMPOLY_MAX_LATTICE", "2")
     code, _, err = run(capsys, "weights", str(path))
     assert code == EXIT_GUARD
+    assert guard_line(err, "subspace lattice members", 5, 2).endswith(LATTICE_KNOBS)
     code, _, _ = run(capsys, "weights", str(path), "--max-lattice", "100")
     assert code == EXIT_OK
 

@@ -263,6 +263,37 @@ def test_wei_report_rank_zero_side(gf2):
     assert rep.partition_ok
 
 
+def pairwise_disjoint(rep):
+    """Reference: no dual weight d*_r equals a reflected primal weight
+    n + 1 - d_r' with r' = r + rank mod m, checked pair by pair."""
+    n, m, k = rep.n, rep.m, rep.rank
+    return not any(
+        (rp - k - r) % m == 0
+        and rep.dual_weights.values[r - 1] == n + 1 - rep.weights.values[rp - 1]
+        for r in range(1, rep.dual_weights.rank + 1)
+        for rp in range(1, rep.weights.rank + 1))
+
+
+def test_wei_disjointness_matches_pairwise_scan(gf2, gf3, gf4):
+    rng = random.Random(7)
+    seen = set()
+    for f, n in [(gf2, 3), (gf3, 2), (gf2, 4), (gf4, 2)]:
+        lat = enumerate_subspaces(f, n)
+        for _ in range(100):
+            m = rng.randrange(1, 4)
+            blocks = [lat[rng.randrange(len(lat))] for _ in range(m)]
+            vals = list(sum_polymatroid(blocks, lat).values)
+            for _ in range(rng.randrange(4)):
+                vals[rng.randrange(len(vals))] += rng.choice((-2, -1, 1, 2))
+            try:
+                rep = wei_duality_report(PolymatroidTable(lat, m, vals))
+            except ValueError:  # corrupted beyond having weights
+                continue
+            assert rep.disjoint_ok == pairwise_disjoint(rep)
+            seen.add(rep.disjoint_ok)
+    assert seen == {True, False}
+
+
 def test_residue_partition_helper_on_classical_case(gf2):
     # m=1 is classical Wei duality; single residue
     t = sum_polymatroid([Subspace(gf2, 3, [[1, 0, 0], [0, 1, 0]])])
