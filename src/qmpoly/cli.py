@@ -18,8 +18,10 @@ lies outside 0-3.
 A resource guard exits 3 with one "guard exceeded:" line naming the
 resource, the size needed and the limit.  The subspace lattice guard
 (10^6 members) is raised by --max-lattice or QMPOLY_MAX_LATTICE; the
-guards on the field order (2^16), the matrix space dimension m*n (2^10)
-and the axiom pairs (N^2 for N lattice members, 10^6) are fixed.
+guards on the field order (2^16, checked before p is tested for
+primality), the matrix space dimension (m*n of a code line, m*max(n, 1)
+of a table line, 2^10) and the axiom pairs (N^2 for N lattice members,
+10^6) are fixed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import sys
 from .delsarte import (DelsarteCode, anticode_weights, gabidulin,
                        random_code, support_space, to_polymatroid)
 from .errors import GuardExceeded, check_guard
-from .field import GF, field, is_prime
+from .field import GF, check_order, field, is_prime
 from .flags import Flag, flag_polymatroid, random_flag, verify_flag_duality
 from .lattice import (DEFAULT_SUBSPACE_GUARD, LATTICE_MEMBERS, Subspace,
                       enumerate_subspaces)
@@ -50,7 +52,9 @@ EXIT_GUARD = 3
 SCHEMA = "qmpoly.report/1"
 GUARD_ENV = "QMPOLY_MAX_LATTICE"
 # m*n bounds every matrix built from a shape read from outside; the
-# trace dual's kernel alone is an (mn - K) x mn matrix.
+# trace dual's kernel alone is an (mn - K) x mn matrix.  On a table line
+# it bounds m even at n = 0, as m*max(n, 1): the Wei report has one
+# record per residue s < m and costs O(m^2 n).
 MAX_MATRIX_SPACE = 1 << 10
 MATRIX_SPACE = "matrix space dimension m*n"
 
@@ -116,6 +120,7 @@ def _require(obj: dict, key: str, kind) -> object:
 def parse_field(obj: dict) -> GF:
     p = _require(obj, "p", int)
     e = _require(obj, "e", int)
+    check_order(p, e)
     if not is_prime(p):
         raise InputError(f"field 'p': {p} is not prime")
     if e < 1:
@@ -166,6 +171,7 @@ def parse_table_obj(obj: dict, guard: int) -> PolymatroidTable:
         raise InputError("field 'n' must be >= 0")
     if m < 1:
         raise InputError("field 'm' must be >= 1")
+    check_guard(MATRIX_SPACE, m * max(n, 1), MAX_MATRIX_SPACE)
     values = _require(obj, "values", list)
     lat = enumerate_subspaces(f, n, guard)
     if len(values) != len(lat):
@@ -396,7 +402,7 @@ def _verify_one(kind: str, obj, table, checks: list[str],
         if flag is None:
             infos.append("flag-duality: not applicable to tables")
         else:
-            fd = verify_flag_duality(flag, lat)
+            fd = verify_flag_duality(flag, table)
             if fd.ok:
                 infos.append(
                     f"flag-duality: {fd.expected} identity holds (length {fd.length})")
@@ -480,6 +486,7 @@ def cmd_gen(args) -> int:
         except ValueError:
             raise InputError(f"{args.kind} parameters must be integers") from None
         check_guard(MATRIX_SPACE, vals[1] * vals[2], MAX_MATRIX_SPACE)  # q m n first
+        check_order(vals[0], 1)
         return vals
 
     if args.kind == "gabidulin":

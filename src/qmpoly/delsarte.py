@@ -171,11 +171,14 @@ def subcode_dims(code: DelsarteCode,
     A codeword sum_i c_i G_i has its row space in X exactly when it
     annihilates X_perp, so dim C(X) = k - rank M_X, where row i of M_X
     is the row-major flattening of G_i B^t for the canonical basis B of
-    X_perp.  M_X has only k rows and m*dim(X_perp) columns.
+    X_perp.  M_X has only k rows and m*dim(X_perp) columns.  The full
+    code has dim C(X) = m*dim X and needs no row reduction.
     """
     if code.field != lattice.field or code.ncols != lattice.n:
         raise ValueError("lattice ambient does not match code columns")
     k = code.dim
+    if k == code.ambient_dim:
+        return tuple(code.nrows * d for d in lattice.dims)
     gens = code.generators
     members = lattice.members
     out = []

@@ -24,6 +24,9 @@ from functools import lru_cache
 from .errors import check_guard
 
 DEFAULT_MAX_ORDER = 1 << 16
+# check_order computes p^e exactly up to this many bits (under 0.1 s);
+# past it, it reports the lower bound 2^min(e, ORDER_BITS) <= p^e.
+ORDER_BITS = 1 << 20
 
 
 def is_prime(n: int) -> bool:
@@ -35,6 +38,17 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def check_order(p: int, e: int) -> None:
+    """The field-order guard on p^e for p >= 2 and e >= 1, in bounded
+    time however large p and e are; other values are left to the
+    caller's checks.  Run it before the primality test, whose trial
+    division takes seconds for a large prime p."""
+    if p >= 2 and e >= 1:
+        q = (p ** e if e * p.bit_length() <= ORDER_BITS
+             else 1 << min(e, ORDER_BITS))
+        check_guard("field order", q, DEFAULT_MAX_ORDER)
 
 
 def _digits(value: int, p: int, width: int) -> list[int]:
@@ -114,13 +128,12 @@ class GF:
     def __init__(self, p: int, e: int = 1):
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
+        check_order(p, e)
         if not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
-        q = p ** e
-        check_guard("field order", q, DEFAULT_MAX_ORDER)
         self.p = p
         self.e = e
-        self.q = q
+        self.q = p ** e
         self.modulus: tuple[int, ...] | None = (
             smallest_irreducible(p, e) if e > 1 else None)
         self._exp, self._log = self._build_tables()

@@ -168,15 +168,16 @@ class FlagDualityReport:
     expected: str
     ok: bool
     first_mismatch: int | None
-    normalized: bool
-    normalized_ok: bool | None
 
 
 def verify_flag_duality(flag: Flag,
-                        lattice: SubspaceLattice | None = None) -> FlagDualityReport:
-    table = flag_polymatroid(flag, lattice)
-    lat = table.lattice
-    dual_table = flag_polymatroid(dual_flag(flag), lat)
+                        table: PolymatroidTable | None = None) -> FlagDualityReport:
+    """Check the flag-duality identity.  `table` is the flag's own
+    table, built here when not given; the dual flag's table is built on
+    its lattice."""
+    if table is None:
+        table = flag_polymatroid(flag)
+    dual_table = flag_polymatroid(dual_flag(flag), table.lattice)
     if flag.length % 2 == 1:
         expected_name = "dual"
         expected = table.dual().values
@@ -185,12 +186,8 @@ def verify_flag_duality(flag: Flag,
         expected = conullity_table(table).values
     mismatch = next((j for j, (a, b) in enumerate(zip(dual_table.values, expected))
                      if a != b), None)
-    ok = mismatch is None
-    normalized = flag.length % 2 == 1 and flag.is_strict()
-    normalized_ok = ok if normalized else None
     return FlagDualityReport(length=flag.length, expected=expected_name,
-                             ok=ok, first_mismatch=mismatch,
-                             normalized=normalized, normalized_ok=normalized_ok)
+                             ok=mismatch is None, first_mismatch=mismatch)
 
 
 class RelativeWeights(NamedTuple):

@@ -292,9 +292,8 @@ def weight_witnesses(table: PolymatroidTable) -> tuple[int, ...]:
     Members are ordered by dimension, so that index has dimension d_r.
     It never decreases in r, so one pass over the lattice finds all.
     """
+    _check_weights_exist(table)
     k = table.rank
-    if k < 0:
-        raise ValueError("negative rank; table violates the axioms")
     vals = table.values
     out: list[int] = []
     for i, c in enumerate(table.lattice.complements):
@@ -302,10 +301,24 @@ def weight_witnesses(table: PolymatroidTable) -> tuple[int, ...]:
             out.append(i)
         if len(out) == k:
             break
-    if len(out) < k:
-        raise ValueError(f"conullity never reaches {len(out) + 1}; "
-                         "table violates the axioms")
     return tuple(out)
+
+
+def _check_weights_exist(table: PolymatroidTable) -> None:
+    """Raise the ValueError for a table whose weights do not exist, in
+    O(N) and before any of its rank-many weights is listed.
+
+    The conullity reaches r exactly where some value is at most
+    rank - r, so every r <= rank is reached unless the rank is negative,
+    or positive with every value positive; the largest r reached is
+    then rank - min(values), which is >= 0 since the rank is a value."""
+    k = table.rank
+    if k < 0:
+        raise ValueError("negative rank; table violates the axioms")
+    low = min(table.values)
+    if k > 0 and low > 0:
+        raise ValueError(f"conullity never reaches {k - low + 1}; "
+                         "table violates the axioms")
 
 
 def residue_partition(n: int, m: int, rank: int,
@@ -346,6 +359,10 @@ def wei_duality_report(table: PolymatroidTable) -> WeiReport:
     m = table.m
     k = table.rank
     dual = table.dual()
+    # The primal profile has rank-many entries, unbounded on a table
+    # that breaks the axioms; fail on either side before listing it.
+    _check_weights_exist(table)
+    _check_weights_exist(dual)
     weights = generalized_weights(table)
     dual_weights = generalized_weights(dual)
 

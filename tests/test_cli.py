@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -8,9 +9,9 @@ import time
 import pytest
 
 import qmpoly
-from qmpoly import nullity_table, uniform
+from qmpoly import nullity_table, random_flag, uniform
 from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
-                        load_input, main)
+                        dump_code_lines, load_input, main)
 
 
 def run(capsys, *argv):
@@ -159,6 +160,16 @@ def test_weights_lattice_guard(tmp_path, capsys):
     assert guard_line(err, "subspace lattice members", "at least 2^22502",
                       10 ** 6).endswith(LATTICE_KNOBS)
 
+    # counted in O(n) big-int products, not by summing Gaussian binomials
+    path = tmp_path / "long_code.json"
+    path.write_text('{"p": 2, "e": 1, "m": 1, "n": 1024, "generators": []}\n')
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_GUARD
+    assert guard_line(err, "subspace lattice members", "at least 2^262146",
+                      10 ** 6).endswith(LATTICE_KNOBS)
+
 
 def test_fixed_guards_name_resource_and_limit(tmp_path, capsys):
     path = tmp_path / "code.json"
@@ -177,19 +188,48 @@ def test_fixed_guards_name_resource_and_limit(tmp_path, capsys):
         assert guard_line(err, resource, needed, limit).endswith(
             "this limit is fixed\n")
 
-
-def test_matrix_space_guard_stops_tiny_inputs(tmp_path, capsys):
-    # Unguarded, both allocate matrices of about (m*n)^2 cells and run
-    # for minutes.
-    path = tmp_path / "wide.json"
-    path.write_text('{"p": 2, "e": 1, "m": 100000, "n": 1, "generators": []}\n')
-    for argv in (["verify", str(path)],
-                 ["gen", "random", "2", "100000", "1", "50000"]):
+    # the guard comes before the trial division of a large prime p or q
+    # and before a p^e of 47 million bits
+    big_p = tmp_path / "big_p.json"
+    big_p.write_text('{"p": 10000000000000061, "e": 1, "m": 1, "n": 1, '
+                     '"generators": []}\n')
+    big_e = tmp_path / "big_e.json"
+    big_e.write_text('{"p": 3, "e": 30000000, "m": 1, "n": 1, '
+                     '"generators": []}\n')
+    for argv, needed in [
+            (["weights", str(big_p)], 10000000000000061),
+            (["weights", str(big_e)], "at least 2^1048576"),
+            (["gen", "random", "10000000000000061", "1", "1", "1"],
+             10000000000000061)]:
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 2
         assert code == EXIT_GUARD and out == ""
-        assert guard_line(err, "matrix space dimension m*n", 100000,
+        assert guard_line(err, "field order", needed, 65536).endswith(
+            "this limit is fixed\n")
+
+
+def test_matrix_space_guard_stops_tiny_inputs(tmp_path, capsys):
+    # Unguarded, the code line and `gen` allocate matrices of about
+    # (m*n)^2 cells and run for minutes; the table lines' Wei reports
+    # cost O(m^2 n) and print one record per residue s < m.
+    path = tmp_path / "wide.json"
+    path.write_text('{"p": 2, "e": 1, "m": 100000, "n": 1, "generators": []}\n')
+    tall = tmp_path / "tall_table.json"
+    tall.write_text('{"kind": "table", "p": 2, "e": 1, "n": 1, "m": 100000, '
+                    '"values": [0, 1]}\n')
+    flat = tmp_path / "flat_table.json"
+    flat.write_text('{"kind": "table", "p": 2, "e": 1, "n": 0, "m": 1000000, '
+                    '"values": [0]}\n')
+    for argv, needed in [(["verify", str(path)], 100000),
+                         (["gen", "random", "2", "100000", "1", "50000"], 100000),
+                         (["weights", str(tall), "--format", "json"], 100000),
+                         (["weights", str(flat), "--format", "json"], 1000000)]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_GUARD and out == ""
+        assert guard_line(err, "matrix space dimension m*n", needed,
                           1024).endswith("this limit is fixed\n")
 
 
@@ -208,6 +248,16 @@ def test_weights_table_with_negative_dual_rank(tmp_path, capsys):
     path.write_text('{"kind": "table", "p": 2, "e": 1, "n": 1, "m": 1, '
                     '"values": [0, 5]}\n')
     code, out, err = run(capsys, "weights", str(path), "--format", "json")
+    assert code == EXIT_VIOLATION
+    assert out == ""
+    assert err == "violation: negative rank; table violates the axioms\n"
+
+    # fails before the primal profile, with 10^7 entries, is listed
+    path.write_text('{"kind": "table", "p": 2, "e": 1, "n": 1, "m": 1, '
+                    '"values": [0, 10000000]}\n')
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weights", str(path), "--format", "json")
+    assert time.perf_counter() - start < 2
     assert code == EXIT_VIOLATION
     assert out == ""
     assert err == "violation: negative rank; table violates the axioms\n"
@@ -265,6 +315,39 @@ def test_verify_code_file(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", str(path), "--axioms", "--wei",
                      "--flag-duality")
     assert code == EXIT_OK
+
+
+def test_verify_flag_duality_builds_each_table_once(tmp_path, capsys,
+                                                    monkeypatch, gf2):
+    # the flag's own table is built once and reused for the duality
+    # check, so only the dual flag's s member tables are added
+    calls = []
+    dims = qmpoly.delsarte.subcode_dims
+
+    def counting(code, lattice):
+        calls.append(code.dim)
+        return dims(code, lattice)
+    monkeypatch.setattr(qmpoly.delsarte, "subcode_dims", counting)
+    rng = random.Random(5)
+    for s in (1, 2, 3):
+        flag = random_flag(gf2, 2, 3, s, rng)
+        path = tmp_path / f"flag{s}.json"
+        path.write_text(dump_code_lines(flag.codes))
+        calls.clear()
+        code, out, _ = run(capsys, "verify", str(path), "--flag-duality")
+        assert code == EXIT_OK and out.endswith("ok\n")
+        assert len(calls) == 2 * s
+
+
+def test_verify_zero_code_at_matrix_space_limit(tmp_path, capsys):
+    # the dual flag's member is the full 1024-dimensional code
+    path = tmp_path / "zero.json"
+    path.write_text('{"p": 2, "e": 1, "m": 256, "n": 4, "generators": []}\n')
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", str(path), "--flag-duality")
+    assert time.perf_counter() - start < 10
+    assert code == EXIT_OK
+    assert "flag-duality: dual identity holds (length 1)" in out
 
 
 def test_verify_random_suite(capsys):

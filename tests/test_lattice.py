@@ -29,6 +29,16 @@ def test_counts_match_gaussian_binomials(q, n, gf2, gf3):
     counts = lat.dimension_counts()
     for k in range(n + 1):
         assert counts.get(k, 0) == gaussian_binomial(n, k, q)
+    assert lattice_size(f, n) == len(lat)
+
+
+def test_lattice_size_matches_gaussian_binomial_sum():
+    for (p, e), ns in [((2, 1), range(9)), ((3, 1), range(9)),
+                       ((5, 1), range(9)), ((2, 2), range(6)),
+                       ((2, 1), [300])]:
+        for n in ns:
+            assert lattice_size(field(p, e), n) == sum(
+                gaussian_binomial(n, k, p ** e) for k in range(n + 1))
 
 
 def test_members_are_unique_and_ordered(gf3):

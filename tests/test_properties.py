@@ -1,0 +1,158 @@
+"""Property tests of the input parser, the CLI and the weight scan on
+generated inputs.
+
+Examples are derandomized, so every run draws the same inputs.  Sizes
+stay small: the explicit reproductions in test_cli.py own the timing
+budgets, and no example here may run long on the parser's slow paths.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qmpoly import (PolymatroidTable, WeiReport, enumerate_subspaces, field,
+                    lattice_size, wei_duality_report, weight_witnesses)
+from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
+                        InputError, load_input, main)
+from qmpoly.errors import GuardExceeded
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=200,
+                    suppress_health_check=[HealthCheck.too_slow])
+# A lattice guard this small keeps every table line's lattice tiny.
+SMALL_LATTICE = 200
+
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2)]
+FIELDS = ["kind", "p", "e", "q", "m", "n", "generators", "values", "label"]
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-2, 6), st.integers(),
+                    st.floats(), st.text(max_size=4))
+json_values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=16)
+free_objects = st.dictionaries(st.sampled_from(FIELDS), json_values,
+                               max_size=len(FIELDS))
+
+
+@st.composite
+def code_objects(draw):
+    """Code lines of the right shape, with small possibly-invalid fields."""
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 3))
+    entry = st.sampled_from([0, 0, 0, 1, 1, 1, 2, -1])
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=m, max_size=m)
+    obj = {"p": draw(st.sampled_from([2, 3]) | st.integers(-1, 4)),
+           "e": draw(st.just(1) | st.integers(0, 2)),
+           "m": m, "n": n, "generators": draw(st.lists(matrix, max_size=4))}
+    if draw(st.integers(0, 3)) == 0:
+        obj["q"] = draw(st.integers(1, 9))
+    return obj
+
+
+@st.composite
+def table_objects(draw):
+    """Table lines over GF(2), GF(3) or GF(4) with n <= 3, m <= 64 and
+    values |v| <= 64, mostly with as many values as lattice members."""
+    p, e = draw(st.sampled_from(SMALL_FIELDS))
+    n = draw(st.integers(0, 3))
+    size = lattice_size(field(p, e), n)
+    length = draw(st.one_of(st.just(size), st.integers(0, size + 1)))
+    values = draw(st.lists(st.integers(-64, 64),
+                           min_size=length, max_size=length))
+    return {"kind": "table", "p": p, "e": e, "n": n,
+            "m": draw(st.integers(1, 64)), "values": values}
+
+
+lines = st.one_of(free_objects.map(json.dumps),
+                  json_values.map(json.dumps),
+                  code_objects().map(json.dumps),
+                  table_objects().map(json.dumps),
+                  st.text(max_size=12))
+
+
+def _write(text: str) -> str:
+    fd, path = tempfile.mkstemp(suffix=".json")
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+@SETTINGS
+@given(st.lists(lines, min_size=0, max_size=3))
+def test_load_input_returns_or_raises_input_or_guard_errors(file_lines):
+    path = _write("\n".join(file_lines) + "\n")
+    try:
+        load_input(path, SMALL_LATTICE)
+    except (InputError, GuardExceeded):
+        pass
+    finally:
+        os.unlink(path)
+
+
+@SETTINGS
+@given(table_objects(), st.sampled_from(["weights", "verify"]),
+       st.sampled_from(["text", "json"]))
+def test_cli_on_small_tables_exits_with_a_documented_code(obj, command, fmt):
+    path = _write(json.dumps(obj) + "\n")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, path, "--format", fmt])
+    finally:
+        os.unlink(path)
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_INPUT, EXIT_GUARD)
+
+
+@st.composite
+def tables(draw):
+    """Tables on GF(q)^n, n <= 3, with small values of either sign."""
+    p, e = draw(st.sampled_from(SMALL_FIELDS))
+    lat = enumerate_subspaces(field(p, e), draw(st.integers(0, 3)))
+    values = draw(st.lists(st.integers(-8, 8), min_size=len(lat),
+                           max_size=len(lat)))
+    return PolymatroidTable(lat, draw(st.integers(1, 3)), values)
+
+
+def reference_witnesses(table):
+    """One scan per r = 1 .. rank for the first index whose conullity
+    reaches r; the ValueError names the first r never reached."""
+    k = table.rank
+    if k < 0:
+        raise ValueError("negative rank; table violates the axioms")
+    out = []
+    for r in range(1, k + 1):
+        hit = [i for i in range(len(table.lattice))
+               if table.conullity_at(i) >= r]
+        if not hit:
+            raise ValueError(f"conullity never reaches {r}; "
+                             "table violates the axioms")
+        out.append(hit[0])
+    return tuple(out)
+
+
+def _outcome(fn, table):
+    try:
+        return fn(table)
+    except ValueError as exc:
+        return str(exc)
+
+
+@SETTINGS
+@given(tables())
+def test_weight_scans_fail_as_the_reference_scan(table):
+    expected = _outcome(reference_witnesses, table)
+    assert _outcome(weight_witnesses, table) == expected
+    # the Wei report fails on the primal side first, then on the dual
+    if not isinstance(expected, str):
+        expected = _outcome(reference_witnesses, table.dual())
+    report = _outcome(wei_duality_report, table)
+    if isinstance(expected, str):
+        assert report == expected
+    else:
+        assert isinstance(report, WeiReport)
