@@ -120,11 +120,11 @@ def _require(obj: dict, key: str, kind) -> object:
 def parse_field(obj: dict) -> GF:
     p = _require(obj, "p", int)
     e = _require(obj, "e", int)
+    if e < 1:
+        raise InputError(f"field 'e': {e} must be >= 1")
     check_order(p, e)
     if not is_prime(p):
         raise InputError(f"field 'p': {p} is not prime")
-    if e < 1:
-        raise InputError(f"field 'e': {e} must be >= 1")
     f = field(p, e)
     if "q" in obj and _require(obj, "q", int) != f.q:
         raise InputError(f"field 'q': {obj['q']} does not equal p^e = {f.q}")

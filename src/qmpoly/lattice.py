@@ -10,16 +10,18 @@ Lattice members are ordered by dimension and then lexicographically by
 the flattened canonical basis.  The order is stable across runs, so
 rank tables indexed by lattice position compare bit for bit.
 
-The lattice caches one pair operation, the sum.  Intersection and
-containment follow from it and the orthogonal complement map: the dot
-product on GF(q)^n is non-degenerate, so X -> X_perp reverses
-inclusion and is an involution, X & Y = (X_perp + Y_perp)_perp, and
-X <= Y exactly when X + Y = Y.
+Pair operations on lattice indices work on point sets.  A subspace is
+the union of the projective points (1-dimensional subspaces) it
+contains, so each member is held as a bitmask over the points: meet is
+AND and containment is a subset test.  The dot product on GF(q)^n is
+non-degenerate, so X -> X_perp reverses inclusion and is an
+involution, and the sum is X + Y = (X_perp & Y_perp)_perp.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .errors import check_guard
 from .field import GF
@@ -27,6 +29,8 @@ from .matrix import Matrix, rowspace_intersect, rowspace_sum, vstack
 
 DEFAULT_SUBSPACE_GUARD = 10 ** 6
 LATTICE_MEMBERS = "subspace lattice members"
+MASK_BITS = "lattice point-mask bits"
+MAX_MASK_BITS = 1 << 22
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -152,10 +156,10 @@ class SubspaceLattice:
 
     Members are in `all_subspaces` order: by dimension, then by basis
     encoding.  So a member of smaller dimension has a smaller index,
-    position 0 is the zero space and the last position is the full
-    space.  Only sums are cached by index pair, since axiom scans
-    revisit the same pairs; intersection and containment are derived
-    from sums and `complements`.
+    position 0 is the zero space, positions 1..L are the L points and
+    the last position is the full space.  The pair operations read
+    `masks`, built on the first pair query; a lattice that never gets
+    one builds nothing beyond its members and complements.
     """
 
     def __init__(self, field: GF, n: int):
@@ -166,7 +170,6 @@ class SubspaceLattice:
         self.dims = tuple(s.dim for s in self.members)
         self.complements = tuple(
             self.index_of[s.orthogonal_complement()] for s in self.members)
-        self._sum: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self.members)
@@ -191,20 +194,54 @@ class SubspaceLattice:
         except KeyError:
             raise ValueError("subspace is not a member of this lattice") from None
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Per member, the points it contains: bit l-1 is set when point
+        l lies in it.
+
+        Hyperplanes of dimension >= 2 are filled by containment tests;
+        p <= c[r] says that points p and r are orthogonal, which is
+        symmetric, so one test fills a bit of two hyperplanes.  Any
+        other member X of dimension >= 2 is the intersection of the
+        hyperplanes b_perp over the basis rows b of X_perp.
+        """
+        members, c, dims, n = self.members, self.complements, self.dims, self.n
+        n_points = gaussian_binomial(n, 1, self.field.q)
+        check_guard(MASK_BITS, len(members) * n_points, MAX_MASK_BITS)
+        masks = [0] * len(members)
+        for p in range(1, n_points + 1):
+            masks[p] = 1 << (p - 1)
+        if n >= 3:
+            for p in range(1, n_points + 1):
+                for r in range(p, n_points + 1):
+                    if members[p] <= members[c[r]]:
+                        masks[c[r]] |= 1 << (p - 1)
+                        masks[c[p]] |= 1 << (r - 1)
+        # A canonical basis row is the canonical basis of its own line.
+        line = {members[p].basis.rows[0]: p for p in range(1, n_points + 1)}
+        for i, d in enumerate(dims):
+            if d >= 2 and d != n - 1:
+                mask = (1 << n_points) - 1
+                for b in members[c[i]].basis.rows:
+                    mask &= masks[c[line[b]]]
+                masks[i] = mask
+        return tuple(masks)
+
+    @cached_property
+    def _by_mask(self) -> dict[int, int]:
+        return {mask: i for i, mask in enumerate(self.masks)}
+
     def sum_index(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        out = self._sum.get(key)
-        if out is None:
-            out = self.index_of[self.members[i] + self.members[j]]
-            self._sum[key] = out
-        return out
+        c, masks = self.complements, self.masks
+        return c[self._by_mask[masks[c[i]] & masks[c[j]]]]
 
     def meet_index(self, i: int, j: int) -> int:
-        c = self.complements
-        return c[self.sum_index(c[i], c[j])]
+        masks = self.masks
+        return self._by_mask[masks[i] & masks[j]]
 
     def leq(self, i: int, j: int) -> bool:
-        return self.dims[i] <= self.dims[j] and self.sum_index(i, j) == j
+        masks = self.masks
+        return masks[i] & masks[j] == masks[i]
 
     def dimension_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}

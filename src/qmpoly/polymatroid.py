@@ -326,18 +326,22 @@ def residue_partition(n: int, m: int, rank: int,
                       dual_weights: WeightProfile) -> tuple[tuple[ResidueDuality, ...], bool]:
     """Per residue s in 0..m-1, the dual-side weight set and the
     reflected primal-side set for the class shifted by the rank; each
-    record carries whether the two sets partition {1..n}."""
+    record carries whether the two sets partition {1..n}.
+
+    Each profile is bucketed by r mod m in one pass, so the cost is
+    O(K + m) for profiles of rank K."""
+    dual_by = [set() for _ in range(m)]
+    for r in range(1, dual_weights.rank + 1):
+        dual_by[r % m].add(dual_weights.values[r - 1])
+    primal_by = [set() for _ in range(m)]
+    for r in range(1, weights.rank + 1):
+        primal_by[r % m].add(n + 1 - weights.values[r - 1])
     full = frozenset(range(1, n + 1))
     records = []
     all_ok = True
     for s in range(m):
-        dual_side = frozenset(
-            dual_weights.values[r - 1]
-            for r in range(1, dual_weights.rank + 1) if r % m == s)
-        t = (s + rank) % m
-        primal_side = frozenset(
-            n + 1 - weights.values[r - 1]
-            for r in range(1, weights.rank + 1) if r % m == t)
+        dual_side = frozenset(dual_by[s])
+        primal_side = frozenset(primal_by[(s + rank) % m])
         ok = dual_side.isdisjoint(primal_side) and dual_side | primal_side == full
         all_ok = all_ok and ok
         records.append(ResidueDuality(s, dual_side, primal_side, ok))

@@ -339,6 +339,21 @@ def test_verify_flag_duality_builds_each_table_once(tmp_path, capsys,
         assert len(calls) == 2 * s
 
 
+def test_weights_of_a_high_rank_table_are_linear_in_the_rank(tmp_path, capsys):
+    # rank K = 200000 in m = 512 residue classes: the Wei report buckets
+    # each weight profile once, where a scan per class costs m*K steps
+    path = tmp_path / "high_rank.json"
+    k = 200000
+    path.write_text('{"kind": "table", "p": 2, "e": 1, "n": 2, "m": 512, '
+                    '"values": [%d, 0, 0, 0, %d]}\n' % (k, k))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "weights", str(path), "--format", "json")
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert len(report["weights"]) == k
+
+
 def test_verify_zero_code_at_matrix_space_limit(tmp_path, capsys):
     # the dual flag's member is the full 1024-dimensional code
     path = tmp_path / "zero.json"
@@ -425,6 +440,14 @@ def test_input_error_messages_name_fields(tmp_path, capsys):
                     '"generators": [[[1, 0], [0, 0]]]}\n')
     code, _, err = run(capsys, "weights", str(path))
     assert code == EXIT_INPUT and "'kind'" in err
+
+    # e is checked before the trial division of a large prime p
+    path.write_text('{"p": 10000000000000061, "e": 0, "m": 1, "n": 1, '
+                    '"generators": []}\n')
+    start = time.perf_counter()
+    code, _, err = run(capsys, "weights", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_INPUT and "'e'" in err
 
 
 def test_guard_env_override(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,13 @@
+import itertools
+import random
+import time
+
 import pytest
 
-from qmpoly import (GuardExceeded, Subspace, SubspaceLattice, all_subspaces,
-                    enumerate_subspaces, field, gaussian_binomial,
-                    lattice_size)
+from qmpoly import (GuardExceeded, PolymatroidTable, Subspace, SubspaceLattice,
+                    all_subspaces, check_axioms, enumerate_subspaces, field,
+                    gaussian_binomial, lattice_size)
+from qmpoly.lattice import MASK_BITS, MAX_MASK_BITS
 
 
 def test_gaussian_binomial_examples():
@@ -98,15 +103,63 @@ def test_sum_and_intersection_operators(gf2):
     assert e1 + e1 == e1
 
 
-@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (2, 1, 4), (3, 1, 3),
-                                   (2, 2, 2), (3, 2, 2)])
+@pytest.mark.parametrize("p,e,n", [(2, 1, 0), (2, 1, 1), (2, 1, 3),
+                                   (2, 1, 4), (3, 1, 3), (2, 2, 2),
+                                   (3, 2, 2), (2, 1, 5)])
 def test_pair_operations_match_subspace_operators(p, e, n):
     lat = SubspaceLattice(field(p, e), n)
+    pairs = itertools.product(range(len(lat)), repeat=2)
+    if len(lat) > 100:
+        rng = random.Random(n)
+        pairs = [(rng.randrange(len(lat)), rng.randrange(len(lat)))
+                 for _ in range(3000)]
+    for i, j in pairs:
+        x, y = lat[i], lat[j]
+        assert lat.sum_index(i, j) == lat.index(x + y)
+        assert lat.meet_index(i, j) == lat.index(x & y)
+        assert lat.leq(i, j) == (x <= y)
+
+
+def test_cold_axiom_scan_makes_no_row_space_sums(gf2, monkeypatch):
+    # The pair operations read point masks, built by at most L^2
+    # containment tests, L = 15 points; they compute no sum or meet.
+    calls = {"__add__": 0, "__and__": 0, "__le__": 0}
+
+    def counted(name):
+        op = getattr(Subspace, name)
+
+        def wrapper(self, other):
+            calls[name] += 1
+            return op(self, other)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Subspace, name, counted(name))
+    lat = SubspaceLattice(gf2, 4)
+    table = PolymatroidTable(lat, 2, [2 * min(d, 2) for d in lat.dims])
+    assert check_axioms(table).r3.ok
+    assert calls["__add__"] == calls["__and__"] == 0
+    assert 0 < calls["__le__"] <= 15 ** 2
+
+
+def test_masks_hold_the_points_of_each_member(gf3):
+    lat = SubspaceLattice(gf3, 3)
+    points = range(1, 14)
+    assert all(lat.dims[p] == 1 for p in points) and lat.dims[14] == 2
     for i, x in enumerate(lat):
-        for j, y in enumerate(lat):
-            assert lat.sum_index(i, j) == lat.index(x + y)
-            assert lat.meet_index(i, j) == lat.index(x & y)
-            assert lat.leq(i, j) == (x <= y)
+        assert lat.masks[i] == sum(1 << (p - 1) for p in points if lat[p] <= x)
+
+
+def test_mask_guard_stops_large_lattices_before_the_build():
+    # GF(2053)^2 has L = 2054 points and N = 2056 members, past 2^22 bits
+    lat = SubspaceLattice(field(2053), 2)
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded) as exc:
+        lat.meet_index(1, 2)
+    assert time.perf_counter() - start < 2
+    assert exc.value.resource == MASK_BITS
+    assert exc.value.needed == 2056 * 2054
+    assert exc.value.guard == MAX_MASK_BITS == 2 ** 22
 
 
 def test_canonicalization_of_spanning_sets(gf2):

@@ -1,5 +1,5 @@
-"""Property tests of the input parser, the CLI and the weight scan on
-generated inputs.
+"""Property tests of the input parser, the CLI, the weight scan and the
+lattice's pair operations on generated inputs.
 
 Examples are derandomized, so every run draws the same inputs.  Sizes
 stay small: the explicit reproductions in test_cli.py own the timing
@@ -156,3 +156,43 @@ def test_weight_scans_fail_as_the_reference_scan(table):
         assert report == expected
     else:
         assert isinstance(report, WeiReport)
+
+
+@st.composite
+def lattice_triples(draw):
+    """A subspace lattice with up to 400 members and three member indices."""
+    p, e, n = draw(st.sampled_from([(2, 1, 0), (2, 1, 1), (2, 1, 4),
+                                    (2, 1, 5), (3, 1, 3), (3, 1, 4),
+                                    (2, 2, 3), (5, 1, 2)]))
+    lat = enumerate_subspaces(field(p, e), n)
+    index = st.integers(0, len(lat) - 1)
+    return lat, draw(index), draw(index), draw(index)
+
+
+@SETTINGS
+@given(lattice_triples())
+def test_lattice_pair_operations_satisfy_the_modular_law(triple):
+    lat, x, y, z = triple
+    x = lat.meet_index(x, z)
+    assert lat.leq(x, z)
+    assert (lat.sum_index(x, lat.meet_index(y, z))
+            == lat.meet_index(lat.sum_index(x, y), z))
+
+
+@SETTINGS
+@given(lattice_triples())
+def test_complements_are_an_inclusion_reversing_involution(triple):
+    lat, x, y, _ = triple
+    c = lat.complements
+    assert c[c[x]] == x
+    assert lat.dims[c[x]] == lat.n - lat.dims[x]
+    assert lat.leq(x, y) == lat.leq(c[y], c[x])
+
+
+@SETTINGS
+@given(lattice_triples())
+def test_sum_and_meet_dimensions_add_up(triple):
+    lat, x, y, _ = triple
+    s, t = lat.sum_index(x, y), lat.meet_index(x, y)
+    assert lat.leq(t, x) and lat.leq(x, s) and lat.leq(t, y) and lat.leq(y, s)
+    assert lat.dims[s] + lat.dims[t] == lat.dims[x] + lat.dims[y]
