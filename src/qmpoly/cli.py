@@ -11,9 +11,11 @@ with "kind": "table" instead carries a rank table in lattice order:
     {"kind": "table", "p": 2, "e": 1, "n": 2, "m": 2, "values": [...]}
 
 Exit codes: 0 all good, 1 a checked property is violated, 2 input
-error, 3 a resource guard was exceeded.  Run as a command, the process
-is ended by SIGPIPE when its output pipe closes early, so its status
-lies outside 0-3.
+error, 3 a resource guard was exceeded, 4 an internal error: any other
+exception, reported as one "internal error:" line on stderr, since a
+bug must not read as a violated theorem.  Run as a command, the
+process is ended by SIGPIPE when its output pipe closes early, so its
+status lies outside 0-4.
 
 A resource guard exits 3 with one "guard exceeded:" line naming the
 resource, the size needed and the limit.  The subspace lattice guard
@@ -42,12 +44,13 @@ from .lattice import (DEFAULT_SUBSPACE_GUARD, LATTICE_MEMBERS, Subspace,
                       enumerate_subspaces)
 from .matrix import Matrix
 from .polymatroid import (PolymatroidTable, check_axioms, nullity_profiles,
-                          wei_duality_report, weight_witnesses)
+                          wei_duality_report)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 SCHEMA = "qmpoly.report/1"
 GUARD_ENV = "QMPOLY_MAX_LATTICE"
@@ -266,7 +269,6 @@ def build_report(kind: str, obj, label, table: PolymatroidTable,
     profiles = nullity_profiles(table)
     axioms = check_axioms(table)
     wei = wei_duality_report(table)
-    witnesses = [_subspace_rows(lat, i) for i in weight_witnesses(table)]
     report = {
         "schema": SCHEMA,
         "input": {
@@ -288,7 +290,7 @@ def build_report(kind: str, obj, label, table: PolymatroidTable,
     report["hstar"] = list(profiles.conullity)
     report["axioms"] = _axiom_obj(axioms, lat)
     report["wei"] = _wei_obj(wei)
-    report["witnesses"] = witnesses
+    report["witnesses"] = [_subspace_rows(lat, i) for i in wei.witnesses]
     return report
 
 
@@ -594,6 +596,9 @@ def main(argv=None) -> int:
                 if exc.resource == LATTICE_MEMBERS else "this limit is fixed")
         print(f"guard exceeded: {exc}; {knob}", file=sys.stderr)
         return EXIT_GUARD
+    except Exception as exc:  # the repr keeps the message on one line
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:  # console-script entry point

@@ -12,6 +12,7 @@ dot product, which is what makes the trace dual a kernel computation.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -169,28 +170,73 @@ def subcode_dims(code: DelsarteCode,
     """dim of the supported subcode at every lattice member.
 
     A codeword sum_i c_i G_i has its row space in X exactly when it
-    annihilates X_perp, so dim C(X) = k - rank M_X, where row i of M_X
-    is the row-major flattening of G_i B^t for the canonical basis B of
-    X_perp.  M_X has only k rows and m*dim(X_perp) columns.  The full
-    code has dim C(X) = m*dim X and needs no row reduction.
+    annihilates X_perp.  Let W(A) <= GF(q)^k be the span of the vectors
+    (G_i[r] . b)_i over the rows r < m and all b in A; then
+    dim C(X) = k - dim W(X_perp).  Two facts build W on the whole
+    lattice at little cost:
+
+    - Parent and last line.  Drop the last row of a member's canonical
+      basis, and what is left is the canonical basis of the member one
+      dimension down, its parent; the dropped row is the canonical
+      basis of a point, its last line (`SubspaceLattice.parents`).
+    - Additivity.  b -> (G_i[r] . b)_i is linear for each r, so
+      W(A + B) = W(A) + W(B).
+
+    So W of each of the L points is computed and row-reduced once, and
+    W of every other member is W(parent) with the reduced rows of its
+    last line merged in, in index order: L small reductions and N short
+    echelon inserts into a basis of at most k vectors, stopped once the
+    rank reaches k.  The full code has dim C(X) = m*dim X and the zero
+    code 0; neither needs any of this.
     """
     if code.field != lattice.field or code.ncols != lattice.n:
         raise ValueError("lattice ambient does not match code columns")
     k = code.dim
     if k == code.ambient_dim:
         return tuple(code.nrows * d for d in lattice.dims)
-    gens = code.generators
-    members = lattice.members
-    out = []
-    for x, c in zip(members, lattice.complements):
-        if x.dim == lattice.n:
-            out.append(k)
-        elif k == 0 or x.dim == 0:
-            out.append(0)
-        else:
-            perp_t = members[c].basis.transpose()
-            rows = [vectorize(g @ perp_t) for g in gens]
-            out.append(k - Matrix(code.field, rows, len(rows[0])).rank())
+    if k == 0:
+        return (0,) * len(lattice)
+    F, m, n = code.field, code.nrows, code.ncols
+    points = [s.basis.rows[0] for s in lattice.members if s.dim == 1]
+    # Row p - 1 of the product holds G_i[r] . b at column i*m + r, for
+    # the canonical basis row b of point p (lattice index p).
+    gen_rows = Matrix(F, [vec[r * n:(r + 1) * n] for vec in code.basis.rows
+                          for r in range(m)], n)
+    prod = Matrix(F, points, n) @ gen_rows.transpose()
+    lines: list[tuple] = [()]
+    for row in prod.rows:
+        reduced, rank, _ = Matrix(F, [row[r::m] for r in range(m)], k).rref()
+        lines.append(reduced.rows[:rank])
+    bases: list[tuple] = [()]
+    for parent, line in lattice.parents[1:]:
+        basis = bases[parent]
+        if len(basis) < k:
+            basis = _merge(F, basis, lines[line], k)
+        bases.append(basis)
+    return tuple(k - len(bases[c]) for c in lattice.complements)
+
+
+def _merge(F: GF, basis: tuple, rows: tuple, k: int) -> tuple:
+    """An echelon basis of span(basis) + span(rows), in GF(q)^k; it
+    stops once it holds k vectors.
+
+    A basis is a tuple of (pivot, row) pairs in pivot order, each row 1
+    at its pivot and 0 before it; rows are reduced in that order, so no
+    step puts back an entry an earlier step cleared.
+    """
+    out = list(basis)
+    for v in rows:
+        for piv, b in out:
+            f = v[piv]
+            if f:
+                v = tuple(F.sub(x, F.mul(f, y)) if y else x
+                          for x, y in zip(v, b))
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = F.inv(v[lead])
+            insort(out, (lead, tuple(F.mul(inv, x) for x in v)))
+            if len(out) == k:
+                break
     return tuple(out)
 
 

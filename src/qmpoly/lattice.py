@@ -228,6 +228,23 @@ class SubspaceLattice:
         return tuple(masks)
 
     @cached_property
+    def parents(self) -> tuple[tuple[int, int] | None, ...]:
+        """Per member, the pair (parent, last line): the member spanned
+        by all but the last row of its canonical basis, and the point
+        spanned by that last row.  None at the zero space.
+
+        Both row sets are canonical bases as they stand: a reduced
+        echelon basis minus its last row is still one, and a single
+        reduced row is its line's.  So the parent has one dimension
+        less, lies in the member, and sum_index(parent, line) is the
+        member.
+        """
+        by_rows = {s.basis.rows: i for i, s in enumerate(self.members)}
+        return (None,) + tuple(
+            (by_rows[s.basis.rows[:-1]], by_rows[s.basis.rows[-1:]])
+            for s in self.members[1:])
+
+    @cached_property
     def _by_mask(self) -> dict[int, int]:
         return {mask: i for i, mask in enumerate(self.masks)}
 

@@ -106,6 +106,7 @@ class WeiReport:
     dual_rank: int
     weights: WeightProfile
     dual_weights: WeightProfile
+    witnesses: tuple[int, ...]
     residues: tuple[ResidueDuality, ...]
     partition_ok: bool
     disjoint_ok: bool
@@ -119,7 +120,7 @@ class PolymatroidTable:
     need every value, and lattices are guarded small.
     """
 
-    __slots__ = ("lattice", "m", "values")
+    __slots__ = ("lattice", "m", "values", "_dual")
 
     def __init__(self, lattice: SubspaceLattice, m: int, values: Sequence[int]):
         values = tuple(int(v) for v in values)
@@ -131,6 +132,7 @@ class PolymatroidTable:
         self.lattice = lattice
         self.m = m
         self.values = values
+        self._dual = None
 
     @property
     def rank(self) -> int:
@@ -152,12 +154,18 @@ class PolymatroidTable:
         return self.conullity_at(self.lattice.index(x))
 
     def dual(self) -> PolymatroidTable:
-        """Pointwise rho*(X) = rho(X_perp) + m*dim X - rho(E)."""
-        lat = self.lattice
-        k = self.rank
-        vals = [self.values[lat.complements[i]] + self.m * lat.dims[i] - k
-                for i in range(len(lat))]
-        return PolymatroidTable(lat, self.m, vals)
+        """Pointwise rho*(X) = rho(X_perp) + m*dim X - rho(E).
+
+        Built on the first call and kept, since the table never changes
+        and the axiom scan, the Wei report and flag duality each read it.
+        """
+        if self._dual is None:
+            lat = self.lattice
+            k = self.rank
+            vals = [self.values[lat.complements[i]] + self.m * lat.dims[i] - k
+                    for i in range(len(lat))]
+            self._dual = PolymatroidTable(lat, self.m, vals)
+        return self._dual
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolymatroidTable)
@@ -358,7 +366,8 @@ def wei_duality_report(table: PolymatroidTable) -> WeiReport:
     """Compute the weights of the table and of its dual and check the
     m-fold duality: per-residue partitions of {1..n}, the pairwise
     non-collision of dual weights with reflected primal weights, and
-    the strict d_r < d_{r+m} gaps on both sides."""
+    the strict d_r < d_{r+m} gaps on both sides.  The report carries
+    the primal weights' witnesses (see weight_witnesses)."""
     n = table.lattice.n
     m = table.m
     k = table.rank
@@ -367,7 +376,8 @@ def wei_duality_report(table: PolymatroidTable) -> WeiReport:
     # that breaks the axioms; fail on either side before listing it.
     _check_weights_exist(table)
     _check_weights_exist(dual)
-    weights = generalized_weights(table)
+    witnesses = weight_witnesses(table)
+    weights = WeightProfile(k, tuple(table.lattice.dims[i] for i in witnesses))
     dual_weights = generalized_weights(dual)
 
     residues, partition_ok = residue_partition(n, m, k, weights, dual_weights)
@@ -377,8 +387,9 @@ def wei_duality_report(table: PolymatroidTable) -> WeiReport:
 
     return WeiReport(n=n, m=m, rank=k, dual_rank=dual.rank,
                      weights=weights, dual_weights=dual_weights,
-                     residues=residues, partition_ok=partition_ok,
-                     disjoint_ok=disjoint_ok, monotone_gaps_ok=gaps_ok)
+                     witnesses=witnesses, residues=residues,
+                     partition_ok=partition_ok, disjoint_ok=disjoint_ok,
+                     monotone_gaps_ok=gaps_ok)
 
 
 def sum_polymatroid(blocks: Sequence[Subspace],

@@ -10,8 +10,8 @@ import pytest
 
 import qmpoly
 from qmpoly import nullity_table, random_flag, uniform
-from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
-                        dump_code_lines, load_input, main)
+from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK,
+                        EXIT_VIOLATION, dump_code_lines, load_input, main)
 
 
 def run(capsys, *argv):
@@ -80,6 +80,45 @@ def test_weights_gabidulin(tmp_path, capsys):
     assert rep["axioms"]["verdict"] == "POLYMATROID"
     assert rep["wei"]["partition_ok"]
     assert len(rep["witnesses"]) == 3
+
+
+def test_weights_report_builds_the_dual_and_scans_weights_once(
+        tmp_path, capsys, monkeypatch):
+    # one table, one dual table; one weight scan on each
+    path = gen_gabidulin(tmp_path, capsys)
+    tables, scans = [], []
+    init = qmpoly.PolymatroidTable.__init__
+    scan = qmpoly.polymatroid.weight_witnesses
+
+    def counting_init(self, *args):
+        tables.append(args[1])
+        init(self, *args)
+
+    def counting_scan(table):
+        scans.append(table.rank)
+        return scan(table)
+    monkeypatch.setattr(qmpoly.PolymatroidTable, "__init__", counting_init)
+    monkeypatch.setattr(qmpoly.polymatroid, "weight_witnesses", counting_scan)
+    # counted also if the CLI binds the scan by name and calls it again
+    monkeypatch.setattr(qmpoly.cli, "weight_witnesses", counting_scan,
+                        raising=False)
+    code, _, _ = run(capsys, "weights", str(path), "--format", "json")
+    assert code == EXIT_OK
+    assert len(tables) == 2 and sorted(scans) == [3, 3]
+
+
+@pytest.mark.parametrize("command", ["weights", "verify"])
+def test_internal_error_exits_4_with_one_line(tmp_path, capsys, monkeypatch,
+                                              command):
+    path = gen_gabidulin(tmp_path, capsys)
+
+    def broken(table):
+        raise RuntimeError("broken\nscan")
+    monkeypatch.setattr(qmpoly.cli, "check_axioms", broken)
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError('broken\\nscan')\n"
 
 
 def test_weights_report_is_deterministic(tmp_path, capsys):
@@ -278,7 +317,7 @@ def test_weights_into_closed_pipe_ends_quietly(tmp_path, capsys):
     finally:
         os.close(w)
     assert proc.returncode not in (EXIT_OK, EXIT_VIOLATION, EXIT_INPUT,
-                                   EXIT_GUARD)
+                                   EXIT_GUARD, EXIT_INTERNAL)
     assert proc.stderr == b""
 
 

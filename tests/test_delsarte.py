@@ -94,6 +94,53 @@ def test_subcode_dims_match_zassenhaus_subcode(gf2, gf3, gf4):
                 assert dims[j] == subcode(c, x).dim
 
 
+def reference_subcode_dims(code, lat):
+    """The per-member formula: dim C(X) = k - rank M, where row i of M
+    is the row-major flattening of G_i B^t for the canonical basis B of
+    X_perp; one row reduction per member."""
+    k = code.dim
+    out = []
+    for c in lat.complements:
+        perp = lat[c]
+        if k == 0 or perp.dim == 0:
+            out.append(k)
+            continue
+        rows = [vectorize(g @ perp.basis.transpose()) for g in code.generators]
+        out.append(k - Matrix(code.field, rows, len(rows[0])).rank())
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p,e,m,n", [(2, 1, 2, 5), (2, 1, 4, 3), (2, 1, 1, 4),
+                                     (3, 1, 2, 3), (2, 2, 2, 3), (5, 1, 3, 2),
+                                     (3, 2, 2, 2)])
+def test_subcode_dims_match_the_per_member_formula(p, e, m, n):
+    # k below, at and above m, and the zero and full codes
+    f = field(p, e)
+    lat = enumerate_subspaces(f, n)
+    rng = random.Random(f"{p}^{e} {m}x{n}")
+    ks = {0, 1, m - 1, m, m + 1, rng.randrange(m * n + 1), m * n - 1, m * n}
+    for k in sorted(ks):
+        c = random_code(f, m, n, k, rng)
+        assert subcode_dims(c, lat) == reference_subcode_dims(c, lat), k
+
+
+def test_subcode_dims_row_reduces_once_per_point(gf2, monkeypatch):
+    # GF(2)^5 has 374 members and 31 points; one row reduction per
+    # member would make 372 calls per code
+    lat = enumerate_subspaces(gf2, 5)
+    calls = []
+    rref = Matrix.rref
+
+    def counting(self):
+        calls.append(self.shape)
+        return rref(self)
+    monkeypatch.setattr(Matrix, "rref", counting)
+    code = random_code(gf2, 3, 5, 6, random.Random(3))
+    calls.clear()
+    subcode_dims(code, lat)
+    assert 0 < len(calls) <= 31
+
+
 def test_gabidulin_231_is_uniform(gf2):
     c = gabidulin(gf2, 3, 2, 1)
     assert c.dim == 3

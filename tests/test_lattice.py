@@ -150,6 +150,19 @@ def test_masks_hold_the_points_of_each_member(gf3):
         assert lat.masks[i] == sum(1 << (p - 1) for p in points if lat[p] <= x)
 
 
+@pytest.mark.parametrize("p,e,n", [(2, 1, 0), (2, 1, 1), (2, 1, 4),
+                                   (3, 1, 3), (2, 2, 3), (3, 2, 2)])
+def test_parent_and_last_line_rebuild_each_member(p, e, n):
+    lat = SubspaceLattice(field(p, e), n)
+    assert lat.parents[0] is None
+    for i in range(1, len(lat)):
+        parent, line = lat.parents[i]
+        assert lat.dims[parent] == lat.dims[i] - 1 and lat.dims[line] == 1
+        assert parent < i
+        assert lat.leq(parent, i) and lat.leq(line, i)
+        assert lat.sum_index(parent, line) == i
+
+
 def test_mask_guard_stops_large_lattices_before_the_build():
     # GF(2053)^2 has L = 2054 points and N = 2056 members, past 2^22 bits
     lat = SubspaceLattice(field(2053), 2)

@@ -1,5 +1,5 @@
-"""Property tests of the input parser, the CLI, the weight scan and the
-lattice's pair operations on generated inputs.
+"""Property tests of the input parser, the CLI, the weight scan, table
+duality and the lattice's pair operations on generated inputs.
 
 Examples are derandomized, so every run draws the same inputs.  Sizes
 stay small: the explicit reproductions in test_cli.py own the timing
@@ -196,3 +196,23 @@ def test_sum_and_meet_dimensions_add_up(triple):
     s, t = lat.sum_index(x, y), lat.meet_index(x, y)
     assert lat.leq(t, x) and lat.leq(x, s) and lat.leq(t, y) and lat.leq(y, s)
     assert lat.dims[s] + lat.dims[t] == lat.dims[x] + lat.dims[y]
+
+
+@SETTINGS
+@given(tables())
+def test_the_dual_is_an_involution_exactly_when_the_zero_space_has_rank_0(table):
+    # rho**(X) = rho(X) - rho(0), so rho** = rho exactly when rho(0) = 0
+    lat, m, values = table.lattice, table.m, table.values
+    assert table.dual().dual().values == tuple(v - values[0] for v in values)
+    assert (table.dual().dual() == table) == (values[0] == 0)
+    grounded = PolymatroidTable(lat, m, (0,) + values[1:])
+    assert grounded.dual().dual() == grounded
+
+
+@SETTINGS
+@given(tables())
+def test_conullity_is_the_nullity_of_the_dual(table):
+    # both sides are rho(E) - rho(X_perp)
+    dual = table.dual()
+    for i in range(len(table.lattice)):
+        assert table.conullity_at(i) == dual.nullity_at(i)
