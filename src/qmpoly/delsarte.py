@@ -182,12 +182,12 @@ def subcode_dims(code: DelsarteCode,
     - Additivity.  b -> (G_i[r] . b)_i is linear for each r, so
       W(A + B) = W(A) + W(B).
 
-    So W of each of the L points is computed and row-reduced once, and
-    W of every other member is W(parent) with the reduced rows of its
-    last line merged in, in index order: L small reductions and N short
-    echelon inserts into a basis of at most k vectors, stopped once the
-    rank reaches k.  The full code has dim C(X) = m*dim X and the zero
-    code 0; neither needs any of this.
+    So W of each of the L points (lattice positions 1..L) is computed
+    and row-reduced once, and W of every other member is W(parent) with
+    the reduced rows of its last line merged in, in index order: L small
+    reductions and N short echelon inserts into a basis of at most k
+    vectors, stopped once the rank reaches k.  The full code has
+    dim C(X) = m*dim X and the zero code 0; neither needs any of this.
     """
     if code.field != lattice.field or code.ncols != lattice.n:
         raise ValueError("lattice ambient does not match code columns")
@@ -197,7 +197,8 @@ def subcode_dims(code: DelsarteCode,
     if k == 0:
         return (0,) * len(lattice)
     F, m, n = code.field, code.nrows, code.ncols
-    points = [s.basis.rows[0] for s in lattice.members if s.dim == 1]
+    n_points = lattice.dims.count(1)
+    points = [s.basis.rows[0] for s in lattice.members[1:n_points + 1]]
     # Row p - 1 of the product holds G_i[r] . b at column i*m + r, for
     # the canonical basis row b of point p (lattice index p).
     gen_rows = Matrix(F, [vec[r * n:(r + 1) * n] for vec in code.basis.rows
@@ -207,13 +208,16 @@ def subcode_dims(code: DelsarteCode,
     for row in prod.rows:
         reduced, rank, _ = Matrix(F, [row[r::m] for r in range(m)], k).rref()
         lines.append(reduced.rows[:rank])
-    bases: list[tuple] = [()]
-    for parent, line in lattice.parents[1:]:
-        basis = bases[parent]
-        if len(basis) < k:
-            basis = _merge(F, basis, lines[line], k)
-        bases.append(basis)
-    return tuple(k - len(bases[c]) for c in lattice.complements)
+    # A member above a rank-k parent has rank k too, and its basis is
+    # never read, so only members below rank k get one.
+    bases: list[tuple] = [()] * len(lattice)
+    ranks = [k] * len(lattice)
+    ranks[0] = 0
+    for i, (parent, line) in enumerate(lattice.parents[1:], 1):
+        if ranks[parent] < k:
+            basis = bases[i] = _merge(F, bases[parent], lines[line], k)
+            ranks[i] = len(basis)
+    return tuple([k - ranks[c] for c in lattice.complements])
 
 
 def _merge(F: GF, basis: tuple, rows: tuple, k: int) -> tuple:
@@ -224,17 +228,18 @@ def _merge(F: GF, basis: tuple, rows: tuple, k: int) -> tuple:
     at its pivot and 0 before it; rows are reduced in that order, so no
     step puts back an entry an earlier step cleared.
     """
+    sub, mul = F.sub, F.mul
     out = list(basis)
     for v in rows:
         for piv, b in out:
             f = v[piv]
             if f:
-                v = tuple(F.sub(x, F.mul(f, y)) if y else x
-                          for x, y in zip(v, b))
+                v = tuple([sub(x, mul(f, y)) if y else x
+                           for x, y in zip(v, b)])
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is not None:
             inv = F.inv(v[lead])
-            insort(out, (lead, tuple(F.mul(inv, x) for x in v)))
+            insort(out, (lead, tuple([mul(inv, x) for x in v])))
             if len(out) == k:
                 break
     return tuple(out)
@@ -251,7 +256,7 @@ def to_polymatroid(code: DelsarteCode,
         code.field, code.ncols)
     dims = subcode_dims(code, lat)
     k = code.dim
-    vals = [k - dims[lat.complements[j]] for j in range(len(lat))]
+    vals = [k - dims[c] for c in lat.complements]
     return PolymatroidTable(lat, code.nrows, vals)
 
 

@@ -20,6 +20,8 @@ and of its dual partition {1..n} residue class by residue class.
 from __future__ import annotations
 
 import enum
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,13 +119,15 @@ class PolymatroidTable:
     """A total rank function on a subspace lattice, stored as a tuple.
 
     Tables are complete, never lazy: the axiom scans and Wei reports
-    need every value, and lattices are guarded small.
+    need every value, and lattices are guarded small.  Values must be
+    integers (anything `operator.index` accepts, so bools but not floats
+    or strings): a table is exact, and nothing is rounded on the way in.
     """
 
     __slots__ = ("lattice", "m", "values", "_dual")
 
     def __init__(self, lattice: SubspaceLattice, m: int, values: Sequence[int]):
-        values = tuple(int(v) for v in values)
+        values = tuple(map(operator.index, values))
         if len(values) != len(lattice):
             raise ValueError(
                 f"table has {len(values)} values for {len(lattice)} subspaces")
@@ -136,7 +140,7 @@ class PolymatroidTable:
 
     @property
     def rank(self) -> int:
-        return self.values[self.lattice.full_index]
+        return self.values[-1]  # the full space is the last member
 
     def rho(self, x: Subspace) -> int:
         return self.values[self.lattice.index(x)]
@@ -160,11 +164,10 @@ class PolymatroidTable:
         and the axiom scan, the Wei report and flag duality each read it.
         """
         if self._dual is None:
-            lat = self.lattice
-            k = self.rank
-            vals = [self.values[lat.complements[i]] + self.m * lat.dims[i] - k
-                    for i in range(len(lat))]
-            self._dual = PolymatroidTable(lat, self.m, vals)
+            lat, m, k, vals = self.lattice, self.m, self.rank, self.values
+            self._dual = PolymatroidTable(
+                lat, m, [vals[c] + m * d - k
+                         for d, c in zip(lat.dims, lat.complements)])
         return self._dual
 
     def __eq__(self, other) -> bool:
@@ -192,22 +195,21 @@ def uniform(r: int, n: int, m: int, field: GF) -> PolymatroidTable:
 
 def nullity_table(table: PolymatroidTable) -> PolymatroidTable:
     """The table X -> m*dim X - rho(X)."""
-    lat = table.lattice
-    return PolymatroidTable(lat, table.m,
-                            [table.nullity_at(i) for i in range(len(lat))])
+    lat, m = table.lattice, table.m
+    return PolymatroidTable(lat, m, [m * d - v
+                                     for d, v in zip(lat.dims, table.values)])
 
 
 def conullity_table(table: PolymatroidTable) -> PolymatroidTable:
     """The table X -> rho(E) - rho(X_perp)."""
-    lat = table.lattice
-    return PolymatroidTable(lat, table.m,
-                            [table.conullity_at(i) for i in range(len(lat))])
+    lat, k, vals = table.lattice, table.rank, table.values
+    return PolymatroidTable(lat, table.m, [k - vals[c] for c in lat.complements])
 
 
 def _scan_r1(table: PolymatroidTable) -> AxiomCheck:
-    lat = table.lattice
-    for i, v in enumerate(table.values):
-        if not 0 <= v <= table.m * lat.dims[i]:
+    m = table.m
+    for i, (v, d) in enumerate(zip(table.values, table.lattice.dims)):
+        if not 0 <= v <= m * d:
             return AxiomCheck(False, (i,))
     return AxiomCheck(True)
 
@@ -267,19 +269,16 @@ def check_axioms(table: PolymatroidTable) -> AxiomReport:
 
 
 def nullity_profiles(table: PolymatroidTable) -> NullityProfiles:
-    lat = table.lattice
-    n = lat.n
-    h = [None] * (n + 1)
-    hstar = [None] * (n + 1)
-    for i in range(len(lat)):
-        d = lat.dims[i]
-        nu = table.nullity_at(i)
-        co = table.conullity_at(i)
-        if h[d] is None or nu > h[d]:
-            h[d] = nu
-        if hstar[d] is None or co > hstar[d]:
-            hstar[d] = co
-    return NullityProfiles(tuple(h), tuple(hstar))
+    """Members are ordered by dimension, and X -> X_perp maps the
+    dimension-x members onto the dimension-(n-x) ones.  So with low[x]
+    the least value on dimension x, nullity[x] = m*x - low[x] and
+    conullity[x] = rho(E) - low[n-x]: one min per block of values."""
+    lat, m, k, vals = table.lattice, table.m, table.rank, table.values
+    dims, n = lat.dims, lat.n
+    low = [min(vals[bisect_left(dims, x):bisect_right(dims, x)])
+           for x in range(n + 1)]
+    return NullityProfiles(tuple([m * x - low[x] for x in range(n + 1)]),
+                           tuple([k - low[n - x] for x in range(n + 1)]))
 
 
 def generalized_weights(table: PolymatroidTable) -> WeightProfile:
@@ -290,7 +289,7 @@ def generalized_weights(table: PolymatroidTable) -> WeightProfile:
     """
     dims = table.lattice.dims
     return WeightProfile(table.rank,
-                         tuple(dims[i] for i in weight_witnesses(table)))
+                         tuple([dims[i] for i in weight_witnesses(table)]))
 
 
 def weight_witnesses(table: PolymatroidTable) -> tuple[int, ...]:
@@ -298,17 +297,26 @@ def weight_witnesses(table: PolymatroidTable) -> tuple[int, ...]:
     reaches r.
 
     Members are ordered by dimension, so that index has dimension d_r.
-    It never decreases in r, so one pass over the lattice finds all.
+    It never decreases in r, so one pass over the lattice finds all:
+    `need` counts the r found so far, and each member costs one
+    subtraction and one compare against it; only a member whose
+    conullity exceeds `need` extends the output (capped at the rank).
     """
     _check_weights_exist(table)
     k = table.rank
+    if k == 0:
+        return ()
     vals = table.values
     out: list[int] = []
+    need = 0
     for i, c in enumerate(table.lattice.complements):
-        while len(out) < min(k - vals[c], k):
-            out.append(i)
-        if len(out) == k:
-            break
+        co = k - vals[c]
+        if co > need:
+            co = min(co, k)
+            out += [i] * (co - need)
+            need = co
+            if need == k:
+                break
     return tuple(out)
 
 
@@ -377,7 +385,8 @@ def wei_duality_report(table: PolymatroidTable) -> WeiReport:
     _check_weights_exist(table)
     _check_weights_exist(dual)
     witnesses = weight_witnesses(table)
-    weights = WeightProfile(k, tuple(table.lattice.dims[i] for i in witnesses))
+    dims = table.lattice.dims
+    weights = WeightProfile(k, tuple([dims[i] for i in witnesses]))
     dual_weights = generalized_weights(dual)
 
     residues, partition_ok = residue_partition(n, m, k, weights, dual_weights)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +49,46 @@ def test_nullity_conullity_values(gf2):
             assert u.conullity_at(i) == 0
             assert u.nullity_at(i) == 0
     assert u.nullity(full) == 2
+
+
+def test_table_values_must_be_integers(gf2):
+    lat = enumerate_subspaces(gf2, 1)
+    for bad in (0.9, 1.0, "1", Fraction(1)):
+        with pytest.raises(TypeError):
+            PolymatroidTable(lat, 1, [0, bad])
+    t = PolymatroidTable(lat, 1, [False, True])
+    assert t.values == (0, 1) and t.rank == 1
+    assert all(type(v) is int for v in t.values)
+
+
+def test_table_passes_make_no_per_member_method_calls(gf2, monkeypatch):
+    # Counted in calls, not seconds: each pass reads the value tuple
+    # directly, so a member costs no nullity_at/conullity_at/rank call.
+    lat = enumerate_subspaces(gf2, 5)
+    assert len(lat) == 374
+    table = uniform(2, 5, 2, gf2).dual()  # rank 6; its scan runs far
+    fresh = PolymatroidTable(lat, table.m, table.values)  # dual not built
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn)
+            return fn(*args)
+        return wrapper
+    for name in ("nullity_at", "conullity_at"):
+        monkeypatch.setattr(PolymatroidTable, name,
+                            counted(getattr(PolymatroidTable, name)))
+    monkeypatch.setattr(PolymatroidTable, "rank",
+                        property(counted(PolymatroidTable.rank.fget)))
+    passes = [("nullity_profiles", lambda: nullity_profiles(table)),
+              ("weight_witnesses", lambda: weight_witnesses(table)),
+              ("dual", fresh.dual),
+              ("conullity_table", lambda: conullity_table(table)),
+              ("nullity_table", lambda: nullity_table(table))]
+    for name, run in passes:
+        calls.clear()
+        run()
+        assert len(calls) <= 2, (name, len(calls))
 
 
 def test_dual_involution_and_rank(gf2):

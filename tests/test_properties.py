@@ -15,8 +15,10 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qmpoly import (PolymatroidTable, WeiReport, enumerate_subspaces, field,
-                    lattice_size, wei_duality_report, weight_witnesses)
+from qmpoly import (PolymatroidTable, WeiReport, conullity_table,
+                    enumerate_subspaces, field, lattice_size, nullity_profiles,
+                    nullity_table, uniform, wei_duality_report,
+                    weight_witnesses)
 from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
                         InputError, load_input, main)
 from qmpoly.errors import GuardExceeded
@@ -156,6 +158,67 @@ def test_weight_scans_fail_as_the_reference_scan(table):
         assert report == expected
     else:
         assert isinstance(report, WeiReport)
+
+
+def test_weight_scan_of_rank_0_tables_is_empty():
+    lat = enumerate_subspaces(field(3), 2)
+    # rank 0 with every conullity <= 0, and rank 0 with conullities up to 5
+    for values in ([0] * len(lat), [-5] * (len(lat) - 1) + [0]):
+        table = PolymatroidTable(lat, 2, values)
+        assert weight_witnesses(table) == reference_witnesses(table) == ()
+
+
+def test_weight_scan_caps_conullities_above_the_rank():
+    # A negative value makes the conullity of its complement exceed the
+    # rank; every r up to the rank is reached there at once.
+    lat = enumerate_subspaces(field(2), 3)
+    u = uniform(1, 3, 2, field(2))
+    for neg in (1, 5, len(lat) - 2):
+        values = list(u.values)
+        values[neg] = -7
+        table = PolymatroidTable(lat, 2, values)
+        assert table.conullity_at(lat.complements[neg]) > table.rank
+        assert weight_witnesses(table) == reference_witnesses(table)
+    # rank 4, conullity 0 at the zero space and 7 at every other member
+    values = [-3] * (len(lat) - 1) + [4]
+    table = PolymatroidTable(lat, 2, values)
+    assert weight_witnesses(table) == reference_witnesses(table) == (1,) * 4
+
+
+# Per-member references for the table passes, written with nullity_at
+# and conullity_at; tables() includes tables that break the axioms.
+
+
+@SETTINGS
+@given(tables())
+def test_nullity_profiles_are_the_per_dimension_maxima(table):
+    lat = table.lattice
+    h = [max(table.nullity_at(i) for i in range(len(lat)) if lat.dims[i] == x)
+         for x in range(lat.n + 1)]
+    hstar = [max(table.conullity_at(i) for i in range(len(lat))
+                 if lat.dims[i] == x) for x in range(lat.n + 1)]
+    prof = nullity_profiles(table)
+    assert prof.nullity == tuple(h)
+    assert prof.conullity == tuple(hstar)
+
+
+@SETTINGS
+@given(tables())
+def test_dual_is_m_dim_minus_conullity_pointwise(table):
+    # rho*(X) = rho(X_perp) + m*dim X - rho(E) = m*dim X - conullity(X)
+    lat = table.lattice
+    assert table.dual().values == tuple(
+        table.m * lat.dims[i] - table.conullity_at(i) for i in range(len(lat)))
+
+
+@SETTINGS
+@given(tables())
+def test_nullity_and_conullity_tables_pointwise(table):
+    members = range(len(table.lattice))
+    assert nullity_table(table).values == tuple(
+        table.nullity_at(i) for i in members)
+    assert conullity_table(table).values == tuple(
+        table.conullity_at(i) for i in members)
 
 
 @st.composite
