@@ -487,7 +487,10 @@ def cmd_gen(args) -> int:
             vals = [int(v) for v in params[:count]]
         except ValueError:
             raise InputError(f"{args.kind} parameters must be integers") from None
-        check_guard(MATRIX_SPACE, vals[1] * vals[2], MAX_MATRIX_SPACE)  # q m n first
+        for name, val in zip(names[1:3], vals[1:3]):  # q m n first
+            if val < 1:  # the file parser rejects m or n < 1
+                raise InputError(f"parameter '{name}': {val} must be >= 1")
+        check_guard(MATRIX_SPACE, vals[1] * vals[2], MAX_MATRIX_SPACE)
         check_order(vals[0], 1)
         return vals
 

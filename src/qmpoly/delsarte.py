@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import check_guard
 from .field import GF, _digits, _undigits, field
 from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
-from .matrix import Matrix, rowspace_intersect, vstack
+from .matrix import Matrix, in_row_space, rowspace_intersect
 from .polymatroid import PolymatroidTable, WeightProfile, generalized_weights
 
 DEFAULT_CODEWORD_GUARD = 1 << 20
@@ -107,18 +106,18 @@ class DelsarteCode:
                      for row in self.basis.rows)
 
     def is_subcode_of(self, other: DelsarteCode) -> bool:
+        """Containment of canonical bases (`matrix.in_row_space`)."""
         self._check_ambient(other)
         if self.dim > other.dim:
             return False
-        if self.dim == 0:
-            return True
-        return vstack(other.basis, self.basis).rank() == other.dim
+        return in_row_space(self.field, other.basis.rows, self.basis.rows)
 
     def contains_matrix(self, mat: Matrix) -> bool:
+        if mat.field != self.field:
+            raise ValueError("field mismatch")
         if mat.shape != self.shape:
             raise ValueError("shape mismatch")
-        v = Matrix(self.field, [vectorize(mat)], self.ambient_dim)
-        return vstack(self.basis, v).rank() == self.dim
+        return in_row_space(self.field, self.basis.rows, [vectorize(mat)])
 
     def _check_ambient(self, other: DelsarteCode):
         if self.field != other.field or self.shape != other.shape:
@@ -476,8 +475,7 @@ def is_mrd(code: DelsarteCode) -> bool:
 # -- anticode/support weight comparison --------------------------------
 
 
-@dataclass(frozen=True)
-class GapCertificate:
+class GapCertificate(NamedTuple):
     """A code whose anticode-based weight drops below its support
     weight at index r."""
     code: DelsarteCode

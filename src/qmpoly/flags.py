@@ -16,7 +16,6 @@ on normalized flags duality is an exact match between the two routes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .delsarte import (DelsarteCode, random_code, random_subcode, subcode,
@@ -159,8 +158,7 @@ def normalize_flag(flag: Flag) -> NormalizedFlag:
     return NormalizedFlag(codes)
 
 
-@dataclass(frozen=True)
-class FlagDualityReport:
+class FlagDualityReport(NamedTuple):
     """Result of comparing the dual flag's table against the expected
     identity: the dual table when the length is odd, the conullity
     table when it is even."""

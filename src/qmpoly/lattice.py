@@ -25,7 +25,8 @@ from functools import cached_property
 
 from .errors import check_guard
 from .field import GF
-from .matrix import Matrix, rowspace_intersect, rowspace_sum, vstack
+from .matrix import (Matrix, in_row_space, orthogonal_rows, rowspace_intersect,
+                     rowspace_sum)
 
 DEFAULT_SUBSPACE_GUARD = 10 ** 6
 LATTICE_MEMBERS = "subspace lattice members"
@@ -94,13 +95,15 @@ class Subspace:
             raise ValueError("ambient space mismatch")
 
     def __le__(self, other: Subspace) -> bool:
-        """Containment: every basis row of self lies in other's row space."""
+        """Containment: every basis row of self lies in other's row
+        space.  Both bases are canonical, so `matrix.in_row_space`
+        clears other's pivot columns from each row of self and tests
+        the remainder for zero: at most dim(self) * dim(other) row
+        updates, with no stacking and no row reduction."""
         self._check_ambient(other)
         if self.dim > other.dim:
             return False
-        if self.dim == 0:
-            return True
-        return vstack(other.basis, self.basis).rank() == other.dim
+        return in_row_space(self.field, other.basis.rows, self.basis.rows)
 
     def __add__(self, other: Subspace) -> Subspace:
         self._check_ambient(other)
@@ -113,8 +116,11 @@ class Subspace:
             self.field, self.n, rowspace_intersect(self.basis, other.basis))
 
     def orthogonal_complement(self) -> Subspace:
-        """All vectors with zero dot product against this subspace."""
-        return Subspace._from_rref(self.field, self.n, self.basis.kernel())
+        """All vectors with zero dot product against this subspace, read
+        off the canonical basis without reducing it again."""
+        return Subspace._from_rref(self.field, self.n, Matrix(
+            self.field, orthogonal_rows(self.field, self.basis.rows, self.n),
+            self.n))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
@@ -166,10 +172,13 @@ class SubspaceLattice:
         self.field = field
         self.n = n
         self.members = tuple(all_subspaces(field, n))
-        self.index_of = {s: i for i, s in enumerate(self.members)}
         self.dims = tuple(s.dim for s in self.members)
+        # Canonical basis rows -> index: members, complements and parents
+        # are looked up by row tuple, never by hashing Subspace objects.
+        self._by_rows = {s.basis.rows: i for i, s in enumerate(self.members)}
         self.complements = tuple(
-            self.index_of[s.orthogonal_complement()] for s in self.members)
+            self._by_rows[orthogonal_rows(field, s.basis.rows, n)]
+            for s in self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -189,10 +198,11 @@ class SubspaceLattice:
         return len(self.members) - 1
 
     def index(self, s: Subspace) -> int:
-        try:
-            return self.index_of[s]
-        except KeyError:
-            raise ValueError("subspace is not a member of this lattice") from None
+        if s.field == self.field and s.n == self.n:
+            i = self._by_rows.get(s.basis.rows)
+            if i is not None:
+                return i
+        raise ValueError("subspace is not a member of this lattice")
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -201,9 +211,12 @@ class SubspaceLattice:
 
         Hyperplanes of dimension >= 2 are filled by containment tests;
         p <= c[r] says that points p and r are orthogonal, which is
-        symmetric, so one test fills a bit of two hyperplanes.  Any
-        other member X of dimension >= 2 is the intersection of the
-        hyperplanes b_perp over the basis rows b of X_perp.
+        symmetric, so one test fills a bit of two hyperplanes: L(L+1)/2
+        `Subspace.__le__` calls for L points.  Each clears at most n - 1
+        pivot columns from one row (`matrix.in_row_space`) and
+        row-reduces nothing.  Any other member X of dimension >= 2 is
+        the intersection of the hyperplanes b_perp over the basis rows
+        b of X_perp.
         """
         members, c, dims, n = self.members, self.complements, self.dims, self.n
         n_points = gaussian_binomial(n, 1, self.field.q)
@@ -239,7 +252,7 @@ class SubspaceLattice:
         less, lies in the member, and sum_index(parent, line) is the
         member.
         """
-        by_rows = {s.basis.rows: i for i, s in enumerate(self.members)}
+        by_rows = self._by_rows
         return (None,) + tuple(
             (by_rows[s.basis.rows[:-1]], by_rows[s.basis.rows[-1:]])
             for s in self.members[1:])

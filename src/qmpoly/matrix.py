@@ -105,30 +105,9 @@ class Matrix:
         zero padding.
         """
         if self._rr is None:
-            F = self.field
-            rows = [list(r) for r in self.rows]
-            nr, nc = len(rows), self.ncols
-            pivots = []
-            r = 0
-            for c in range(nc):
-                if r == nr:
-                    break
-                pr = next((i for i in range(r, nr) if rows[i][c]), None)
-                if pr is None:
-                    continue
-                rows[r], rows[pr] = rows[pr], rows[r]
-                inv = F.inv(rows[r][c])
-                if inv != 1:
-                    rows[r] = [F.mul(inv, v) for v in rows[r]]
-                lead = rows[r]
-                for i in range(nr):
-                    f = rows[i][c]
-                    if i != r and f:
-                        rows[i] = [F.sub(a, F.mul(f, b))
-                                   for a, b in zip(rows[i], lead)]
-                pivots.append(c)
-                r += 1
-            self._rr = (Matrix(F, rows, nc), r, tuple(pivots))
+            rows, rank, pivots = rref_rows(
+                self.field, [list(r) for r in self.rows], self.ncols)
+            self._rr = (Matrix(self.field, rows, self.ncols), rank, pivots)
         return self._rr
 
     def rank(self) -> int:
@@ -141,20 +120,9 @@ class Matrix:
 
     def kernel(self) -> Matrix:
         """Canonical basis of the right null space, one row per vector."""
-        R, rank, pivots = self.rref()
-        n = self.ncols
-        pivset = set(pivots)
-        F = self.field
-        vecs = []
-        for fc in range(n):
-            if fc in pivset:
-                continue
-            v = [0] * n
-            v[fc] = 1
-            for i, pc in enumerate(pivots):
-                v[pc] = F.neg(R.rows[i][fc])
-            vecs.append(v)
-        return Matrix(F, vecs, n).row_basis()
+        R, rank, _ = self.rref()
+        return Matrix(self.field, orthogonal_rows(self.field, R.rows[:rank],
+                                                  self.ncols), self.ncols)
 
     def inverse(self) -> Matrix:
         if self.nrows != self.ncols:
@@ -187,6 +155,86 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {list(map(list, self.rows))!r})"
+
+
+def rref_rows(F: GF, rows: list[list[int]],
+              ncols: int) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """Gauss-Jordan elimination on a list of row lists, in place:
+    (rows, rank, pivot columns), with the rows in reduced echelon form
+    and zero rows trailing.  `Matrix.rref` and `orthogonal_rows` share
+    it; trusted internal callers use it without building a `Matrix`."""
+    sub, mul = F.sub, F.mul
+    nr = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pr is None:
+            continue
+        lead = rows[pr]
+        rows[pr] = rows[r]
+        inv = F.inv(lead[c])
+        if inv != 1:
+            lead = [mul(inv, v) for v in lead]
+        rows[r] = lead
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [sub(a, mul(f, b)) for a, b in zip(row, lead)]
+        pivots.append(c)
+        r += 1
+    return rows, r, tuple(pivots)
+
+
+def in_row_space(F: GF, basis, rows) -> bool:
+    """Whether every row of `rows` lies in the row space of `basis`, a
+    reduced echelon basis: each row is 1 at its pivot, the first
+    non-zero entry, and every other row is 0 there.
+
+    For each basis row b with pivot c, v - v[c]*b clears column c of
+    the candidate v and leaves every other pivot column as it was.  So
+    once all pivots are cleared, v is zero exactly when it is the
+    combination sum_c v[c]*b of the basis, that is, when it lies in
+    the span.  Cost: at most dim(basis) row updates per candidate; no
+    `Matrix` is built, nothing is stacked and nothing is row-reduced.
+    """
+    sub, mul = F.sub, F.mul
+    pivoted = [(b.index(1), b) for b in basis]
+    for v in rows:
+        for c, b in pivoted:
+            f = v[c]
+            if f:
+                v = [sub(x, mul(f, y)) if y else x for x, y in zip(v, b)]
+        if any(v):
+            return False
+    return True
+
+
+def orthogonal_rows(F: GF, basis, n: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical basis of the vectors of GF(q)^n with zero dot product
+    against every row of `basis`, a reduced echelon basis.
+
+    The pivots of `basis` are its rows' leading 1s, so the n - d kernel
+    vectors are read off it as they stand, one per non-pivot column fc:
+    1 at fc and -b[fc] at the pivot of each basis row b.  They are
+    independent, and one elimination (`rref_rows`) makes them
+    canonical; `basis` itself is not reduced again.
+    """
+    pivots = [b.index(1) for b in basis]
+    pivset = set(pivots)
+    vecs = []
+    for fc in range(n):
+        if fc not in pivset:
+            v = [0] * n
+            v[fc] = 1
+            for pc, b in zip(pivots, basis):
+                if b[fc]:
+                    v[pc] = F.neg(b[fc])
+            vecs.append(v)
+    rows, _, _ = rref_rows(F, vecs, n)
+    return tuple(map(tuple, rows))
 
 
 def vstack(first: Matrix, *rest: Matrix) -> Matrix:

@@ -15,6 +15,10 @@ The r-th generalized weight of a table of rank K is the least dimension
 of a subspace whose conullity rho(E) - rho(X_perp) reaches r, and the
 m-fold Wei duality machinery below verifies how the weights of a table
 and of its dual partition {1..n} residue class by residue class.
+
+Result records are named tuples, except `WeightProfile`, whose `len`
+and iteration run over its values; none of them needs `dataclasses`,
+which would add its imports to every cold start of the command.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from __future__ import annotations
 import enum
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import check_guard
 from .field import GF
@@ -38,8 +41,7 @@ class Verdict(str, enum.Enum):
     NEITHER = "NEITHER"
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     """Outcome of one axiom scan; witness holds lattice indices of the
     first counterexample in lattice order, or None on a pass."""
     ok: bool
@@ -47,8 +49,7 @@ class AxiomCheck:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     r1: AxiomCheck
     r2: AxiomCheck
     r3: AxiomCheck
@@ -56,11 +57,28 @@ class AxiomReport:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
 class WeightProfile:
-    """Generalized weights d_1 .. d_K of a rank-K structure."""
-    rank: int
-    values: tuple[int, ...]
+    """Generalized weights d_1 .. d_K of a rank-K structure.
+
+    Immutable, and compared and hashed by (rank, values).  `len` and
+    iteration run over the values, so it is not a tuple of its fields.
+    """
+
+    __slots__ = ("rank", "values")
+    __match_args__ = ("rank", "values")
+
+    def __init__(self, rank: int, values: tuple[int, ...]):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __reduce__(self):
+        return WeightProfile, (self.rank, self.values)
 
     def weight(self, r: int) -> int:
         if not 1 <= r <= self.rank:
@@ -73,9 +91,19 @@ class WeightProfile:
     def __iter__(self):
         return iter(self.values)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.values) == (other.rank, other.values)
 
-@dataclass(frozen=True)
-class NullityProfiles:
+    def __hash__(self) -> int:
+        return hash((self.rank, self.values))
+
+    def __repr__(self) -> str:
+        return f"WeightProfile(rank={self.rank!r}, values={self.values!r})"
+
+
+class NullityProfiles(NamedTuple):
     """Per-dimension maxima of nullity and conullity.
 
     nullity[x] is the largest m*dim X - rho(X) over dim-x subspaces,
@@ -87,8 +115,7 @@ class NullityProfiles:
     conullity: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ResidueDuality:
+class ResidueDuality(NamedTuple):
     """Weight sets for one residue class r mod m.
 
     dual_side:   {d_r(dual) : r in the class}
@@ -100,8 +127,7 @@ class ResidueDuality:
     partition_ok: bool
 
 
-@dataclass(frozen=True)
-class WeiReport:
+class WeiReport(NamedTuple):
     n: int
     m: int
     rank: int

@@ -69,6 +69,22 @@ def test_gen_bad_parameters(capsys):
     assert code == EXIT_INPUT and "parameters" in err
 
 
+@pytest.mark.parametrize("argv, name, value", [
+    (["random", "2", "0", "5", "0"], "m", 0),
+    (["random", "2", "3", "0", "0"], "n", 0),
+    (["random", "2", "-1", "-1", "0"], "m", -1),
+    (["uniform-support", "2", "0", "3", "1,0,0"], "m", 0),
+])
+def test_gen_rejects_shapes_the_parser_rejects(tmp_path, capsys, argv, name,
+                                               value):
+    # These used to exit 0 and write a code line that weights and verify
+    # then refused with exit 2.
+    out = tmp_path / "code.json"
+    code, stdout, err = run(capsys, "gen", *argv, "--out", str(out))
+    assert code == EXIT_INPUT and stdout == "" and not out.exists()
+    assert err == f"error: parameter '{name}': {value} must be >= 1\n"
+
+
 def test_weights_gabidulin(tmp_path, capsys):
     path = gen_gabidulin(tmp_path, capsys)
     code, out, _ = run(capsys, "weights", str(path), "--format", "json")

@@ -7,10 +7,10 @@ from qmpoly import (DelsarteCode, GuardExceeded, Matrix, Subspace,
                     anticode_gap_search, anticode_weights, check_axioms,
                     code_weights, devectorize, enumerate_subspaces, field,
                     gabidulin, generalized_weights, is_mrd,
-                    min_rank_distance, random_code, random_subcode, subcode,
-                    subcode_dims, support_space, to_polymatroid, trace_dual,
-                    trace_product, transpose_code, transpose_min_polymatroid,
-                    uniform, vectorize)
+                    min_rank_distance, random_code, random_flag,
+                    random_subcode, subcode, subcode_dims, support_space,
+                    to_polymatroid, trace_dual, trace_product, transpose_code,
+                    transpose_min_polymatroid, uniform, vectorize, vstack)
 
 
 def test_vectorize_roundtrip(gf2, gf3):
@@ -366,3 +366,46 @@ def test_code_equality_is_canonical(gf2):
     c2 = DelsarteCode.span(gf2, 2, 2, [g2, g1 + g2])
     assert c1 == c2
     assert c1.contains_matrix(g1 + g2)
+
+
+def containment_population():
+    """Codes grouped by matrix space: seeded random codes, the members
+    of random flags, support_space codes and nested Gabidulin codes."""
+    rng = random.Random(67)
+    gf2, gf3, gf4 = field(2), field(3), field(2, 2)
+    groups = []
+    for f, m, n in [(gf2, 2, 3), (gf3, 2, 2), (gf4, 2, 2)]:
+        codes = [DelsarteCode.zero(f, m, n), DelsarteCode.full(f, m, n)]
+        codes += [random_code(f, m, n, rng.randrange(1, m * n), rng)
+                  for _ in range(6)]
+        for length in (2, 3):
+            codes += random_flag(f, m, n, length, rng).codes
+        groups.append(codes)
+    groups.append([support_space(x, 2) for x in enumerate_subspaces(gf2, 3)])
+    groups.append([gabidulin(gf2, 3, 3, k) for k in (1, 2, 3)]
+                  + [random_code(gf2, 3, 3, 4, rng)])
+    return groups
+
+
+def test_containment_matches_the_stacked_rank_reference():
+    rng = random.Random(71)
+    for codes in containment_population():
+        for a in codes:
+            for b in codes:
+                assert a.is_subcode_of(b) == (
+                    vstack(b.basis, a.basis).rank() == b.dim)
+        for c in codes:
+            f, (m, n) = c.field, c.shape
+            mats = [g for other in codes for g in other.generators]
+            mats += [Matrix(f, [[rng.randrange(f.q) for _ in range(n)]
+                                for _ in range(m)], n) for _ in range(5)]
+            for mat in mats:
+                row = Matrix(f, [vectorize(mat)], m * n)
+                assert c.contains_matrix(mat) == (
+                    vstack(c.basis, row).rank() == c.dim)
+
+
+def test_contains_matrix_rejects_another_field(gf2, gf3):
+    code = DelsarteCode.full(gf2, 2, 2)
+    with pytest.raises(ValueError):
+        code.contains_matrix(Matrix.identity(gf3, 2))

@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from qmpoly import (GuardExceeded, PolymatroidTable, Subspace, SubspaceLattice,
-                    all_subspaces, check_axioms, enumerate_subspaces, field,
-                    gaussian_binomial, lattice_size)
+from qmpoly import (GuardExceeded, Matrix, PolymatroidTable, Subspace,
+                    SubspaceLattice, all_subspaces, check_axioms,
+                    enumerate_subspaces, field, gaussian_binomial, lattice_size,
+                    vstack)
 from qmpoly.lattice import MASK_BITS, MAX_MASK_BITS
 
 
@@ -93,6 +94,80 @@ def test_containment(gf2):
     assert not (e12 <= e1)
     with pytest.raises(ValueError):
         e1 <= line
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 0), (2, 1, 1), (2, 1, 4),
+                                   (3, 1, 3), (2, 2, 3)])
+def test_containment_matches_the_stacked_rank_reference(p, e, n):
+    lat = SubspaceLattice(field(p, e), n)
+    for x, y in itertools.product(lat, repeat=2):
+        assert (x <= y) == (vstack(y.basis, x.basis).rank() == y.dim)
+
+
+def reference_kernel(mat):
+    """The kernel as computed before complements were read off the
+    canonical basis: reduce, build one vector per free column, reduce
+    those again."""
+    R, rank, pivots = mat.rref()
+    F, n = mat.field, mat.ncols
+    vecs = []
+    for fc in range(n):
+        if fc not in pivots:
+            v = [0] * n
+            v[fc] = 1
+            for i, pc in enumerate(pivots):
+                v[pc] = F.neg(R.rows[i][fc])
+            vecs.append(v)
+    return Matrix(F, vecs, n).row_basis()
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 0), (2, 1, 1), (2, 1, 2), (2, 1, 3),
+                                   (2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 3),
+                                   (5, 1, 3), (3, 2, 2)])
+def test_complements_match_the_kernel_reference(p, e, n):
+    lat = SubspaceLattice(field(p, e), n)
+    for x, c in zip(lat, lat.complements):
+        ref = reference_kernel(x.basis)
+        assert lat[c].basis == ref
+        assert x.orthogonal_complement().basis == ref
+
+
+def count_rref_calls(monkeypatch):
+    calls = []
+    rref = Matrix.rref
+
+    def counting(self):
+        calls.append(self.rows)
+        return rref(self)
+    monkeypatch.setattr(Matrix, "rref", counting)
+    return calls
+
+
+def test_complements_are_read_off_canonical_bases(gf2, monkeypatch):
+    # Each member's kernel vectors come from its canonical basis as it
+    # stands and are reduced once, outside Matrix.rref; the old route
+    # reduced every member's basis again (2 * 374 rref calls here).
+    calls = count_rref_calls(monkeypatch)
+    SubspaceLattice(gf2, 5)
+    assert calls == []
+
+
+def test_first_mask_build_tests_containment_without_row_reduction(
+        monkeypatch):
+    # GF(5)^3 has L = 31 points: the build makes L(L+1)/2 containment
+    # tests, and none of them row-reduces (the old test reduced a
+    # stacked basis per call).
+    lat = SubspaceLattice(field(5), 3)
+    le_calls = []
+    le = Subspace.__le__
+
+    def counting(self, other):
+        le_calls.append(1)
+        return le(self, other)
+    monkeypatch.setattr(Subspace, "__le__", counting)
+    rref_calls = count_rref_calls(monkeypatch)
+    lat.masks
+    assert len(le_calls) == 31 * 32 // 2 and rref_calls == []
 
 
 def test_sum_and_intersection_operators(gf2):
@@ -190,6 +265,8 @@ def test_lattice_index_and_membership(gf2):
     assert lat[i] == line
     with pytest.raises(ValueError):
         lat.index(Subspace(gf2, 3, [[1, 0, 0]]))
+    with pytest.raises(ValueError):  # the same rows over another field
+        lat.index(Subspace(field(3), 2, [[1, 1]]))
 
 
 def test_guard_exceeded_reports_needed_count(gf2):

@@ -1,15 +1,23 @@
+import copy
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from qmpoly import (PolymatroidTable, Subspace, Verdict, check_axioms,
-                    conullity_table, enumerate_subspaces, generalized_weights,
+import qmpoly
+from qmpoly import (AxiomCheck, AxiomReport, DelsarteCode, FlagDualityReport,
+                    GapCertificate, NullityProfiles, PolymatroidTable,
+                    ResidueDuality, Subspace, Verdict, WeightProfile,
+                    WeiReport, check_axioms, conullity_table,
+                    enumerate_subspaces, field, generalized_weights,
                     intersection_demipolymatroid, nullity_profiles,
                     nullity_table, residue_partition, sum_polymatroid,
                     uniform, wei_duality_report, weight_witnesses)
-from qmpoly.polymatroid import AxiomCheck
 
 
 def brute_weights(table):
@@ -423,3 +431,81 @@ def test_table_validation(gf2):
         PolymatroidTable(lat, 2, [0, 1])
     with pytest.raises(ValueError):
         PolymatroidTable(lat, 0, [0] * 5)
+
+
+def test_import_loads_no_dataclasses():
+    # Compared against the modules loaded before the import, so whatever
+    # the interpreter's site set-up loads does not count.
+    src = os.path.dirname(os.path.dirname(qmpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; before = set(sys.modules); import qmpoly.cli; "
+         "print(sorted(set(sys.modules) - before))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert "'qmpoly.cli'" in out and "dataclasses" not in out
+
+
+def record_samples():
+    """(class, field names in order, one value per field) for every
+    result record; the names and order are the public interface."""
+    check = AxiomCheck(False, (1, 2), "dual table violates R1")
+    prof = WeightProfile(2, (1, 3))
+    res = ResidueDuality(0, frozenset({1}), frozenset({2}), True)
+    return [
+        (AxiomCheck, ("ok", "witness", "note"), (False, (1, 2), "a note")),
+        (AxiomReport, ("r1", "r2", "r3", "r4", "verdict"),
+         (check, AxiomCheck(True), check, AxiomCheck(True), Verdict.NEITHER)),
+        (WeightProfile, ("rank", "values"), (2, (1, 3))),
+        (NullityProfiles, ("nullity", "conullity"), ((0, 1), (0, 2))),
+        (ResidueDuality, ("residue", "dual_side", "primal_side",
+                          "partition_ok"), (0, frozenset({1}), frozenset(), False)),
+        (WeiReport, ("n", "m", "rank", "dual_rank", "weights", "dual_weights",
+                     "witnesses", "residues", "partition_ok", "disjoint_ok",
+                     "monotone_gaps_ok"),
+         (2, 1, 2, 0, prof, WeightProfile(0, ()), (1, 3), (res,), True, True,
+          True)),
+        (GapCertificate, ("code", "r", "anticode_weight", "support_weight"),
+         (DelsarteCode.full(field(2), 2, 2), 1, 1, 2)),
+        (FlagDualityReport, ("length", "expected", "ok", "first_mismatch"),
+         (3, "dual", False, 4)),
+    ]
+
+
+@pytest.mark.parametrize("cls, names, values", record_samples(),
+                         ids=[sample[0].__name__ for sample in record_samples()])
+def test_records_keep_fields_repr_equality_and_hash(cls, names, values):
+    rec = cls(**dict(zip(names, values)))
+    assert tuple(getattr(rec, n) for n in names) == values
+    assert repr(rec) == (f"{cls.__name__}("
+                         + ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
+                         + ")")
+    twin = cls(*values)
+    assert rec == twin and hash(rec) == hash(twin) == hash(values)
+    other = cls(*values[:-1], "x")
+    assert rec != other
+    for n in names:
+        with pytest.raises(AttributeError):
+            setattr(rec, n, None)
+    assert copy.copy(rec) == rec == pickle.loads(pickle.dumps(rec))
+    if cls is not WeightProfile:  # the named tuples
+        assert rec == values and tuple(rec) == values
+        assert rec._asdict() == dict(zip(names, values))
+        assert rec._replace(**{names[-1]: "x"}) == other
+
+
+def test_axiom_check_defaults():
+    assert AxiomCheck(True) == AxiomCheck(ok=True, witness=None, note=None)
+
+
+def test_weight_profile_is_a_sequence_of_its_values():
+    prof = WeightProfile(3, (1, 1, 2))
+    assert len(prof) == 3 and list(prof) == [1, 1, 2]
+    assert [prof.weight(r) for r in (1, 2, 3)] == [1, 1, 2]
+    for r in (0, 4):
+        with pytest.raises(IndexError):
+            prof.weight(r)
+    # compared with its own kind only, not with a tuple of its fields
+    assert prof != (3, (1, 1, 2))
+    with pytest.raises(AttributeError):
+        del prof.rank
