@@ -18,8 +18,7 @@ from .flags import (Flag, FlagDualityReport, NestingError, NormalizedFlag,
 from .lattice import (DEFAULT_SUBSPACE_GUARD, Subspace, SubspaceLattice,
                       all_subspaces, enumerate_subspaces, gaussian_binomial,
                       lattice_size)
-from .matrix import (Matrix, rowspace_intersect, rowspace_sum, trace_product,
-                     vstack)
+from .matrix import Matrix, rowspace_intersect, trace_product, vstack
 from .polymatroid import (AxiomCheck, AxiomReport, NullityProfiles,
                           PolymatroidTable, ResidueDuality, Verdict,
                           WeightProfile, WeiReport, check_axioms,
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF", "field", "GuardExceeded",
-    "Matrix", "vstack", "trace_product", "rowspace_sum", "rowspace_intersect",
+    "Matrix", "vstack", "trace_product", "rowspace_intersect",
     "Subspace", "SubspaceLattice", "all_subspaces", "enumerate_subspaces",
     "gaussian_binomial", "lattice_size", "DEFAULT_SUBSPACE_GUARD",
     "PolymatroidTable", "Verdict", "AxiomCheck", "AxiomReport",

@@ -225,7 +225,7 @@ def load_input(path: str, guard: int):
 
 
 def _subspace_rows(lat, idx: int) -> list[list[int]]:
-    return [list(r) for r in lat.members[idx].basis.rows]
+    return [list(r) for r in lat.members[idx].basis]
 
 
 def _wei_obj(report) -> dict:

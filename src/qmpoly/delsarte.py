@@ -3,10 +3,11 @@ GF(q), their subcodes supported on a subspace, trace duals, associated
 rank tables, and the two weight theories (support weights and
 anticode-based weights).
 
-A code is kept in canonical form as the reduced echelon basis of its
-row-major vectorizations, so code equality is tuple equality.  Under
-row-major vectorization the trace form Trace(A B^t) becomes the plain
-dot product, which is what makes the trace dual a kernel computation.
+A code is a `Subspace` of GF(q)^(mn), the row-major vectorizations of
+its codewords, together with its shape; code equality is subspace
+equality.  Under row-major vectorization the trace form Trace(A B^t)
+becomes the plain dot product, so the trace dual is the orthogonal
+complement.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import check_guard
 from .field import GF, _digits, _undigits, field
 from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
-from .matrix import Matrix, in_row_space, rowspace_intersect
+from .matrix import Matrix, in_row_space
 from .polymatroid import PolymatroidTable, WeightProfile, generalized_weights
 
 DEFAULT_CODEWORD_GUARD = 1 << 20
@@ -38,23 +39,29 @@ def devectorize(field: GF, m: int, n: int, vec: Sequence[int]) -> Matrix:
 
 
 class DelsarteCode:
-    """A linear space of m-by-n matrices over GF(q).
+    """A linear space of m-by-n matrices over GF(q): a `Subspace` of
+    GF(q)^(mn) plus its shape.
 
-    The constructor trusts that `basis` is already the canonical
-    reduced-echelon matrix of vectorized generators; use the
-    classmethods to build codes from arbitrary spanning sets.
+    The constructor reduces any spanning rows of width m*n, or a
+    `Matrix` of them, to the canonical basis, so equal codes compare
+    and hash equal however they were given.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "basis")
+    __slots__ = ("space", "nrows", "ncols")
 
-    def __init__(self, field: GF, nrows: int, ncols: int, basis: Matrix):
-        if basis.ncols != nrows * ncols:
-            raise ValueError(
-                f"basis width {basis.ncols} does not match shape {nrows}x{ncols}")
-        self.field = field
+    def __init__(self, field: GF, nrows: int, ncols: int, basis):
+        self.space = Subspace(field, nrows * ncols, basis)
         self.nrows = nrows
         self.ncols = ncols
-        self.basis = basis
+
+    @classmethod
+    def _of(cls, space: Subspace, m: int, n: int) -> DelsarteCode:
+        # Trusted path for a subspace of GF(q)^(mn) built internally.
+        code = object.__new__(cls)
+        code.space = space
+        code.nrows = m
+        code.ncols = n
+        return code
 
     @classmethod
     def span(cls, field: GF, m: int, n: int,
@@ -66,10 +73,9 @@ class DelsarteCode:
                 if item.shape != (m, n):
                     raise ValueError(
                         f"generator of shape {item.shape}, expected {(m, n)}")
-                vecs.append(vectorize(item))
-            else:
-                vecs.append(tuple(item))
-        return cls(field, m, n, Matrix(field, vecs, ncols=m * n).row_basis())
+                item = vectorize(item)
+            vecs.append(item)
+        return cls(field, m, n, vecs)
 
     @classmethod
     def from_generators(cls, field: GF, m: int, n: int,
@@ -82,15 +88,24 @@ class DelsarteCode:
 
     @classmethod
     def zero(cls, field: GF, m: int, n: int) -> DelsarteCode:
-        return cls(field, m, n, Matrix(field, [], ncols=m * n))
+        return cls._of(Subspace.zero(field, m * n), m, n)
 
     @classmethod
     def full(cls, field: GF, m: int, n: int) -> DelsarteCode:
-        return cls(field, m, n, Matrix.identity(field, m * n))
+        return cls._of(Subspace.full(field, m * n), m, n)
+
+    @property
+    def field(self) -> GF:
+        return self.space.field
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical basis of the vectorized codewords, as row tuples."""
+        return self.space.basis
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return self.space.dim
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -103,34 +118,27 @@ class DelsarteCode:
     @property
     def generators(self) -> tuple[Matrix, ...]:
         return tuple(devectorize(self.field, self.nrows, self.ncols, row)
-                     for row in self.basis.rows)
+                     for row in self.basis)
 
     def is_subcode_of(self, other: DelsarteCode) -> bool:
-        """Containment of canonical bases (`matrix.in_row_space`)."""
-        self._check_ambient(other)
-        if self.dim > other.dim:
-            return False
-        return in_row_space(self.field, other.basis.rows, self.basis.rows)
+        if self.field != other.field or self.shape != other.shape:
+            raise ValueError("codes live in different matrix spaces")
+        return self.space <= other.space
 
     def contains_matrix(self, mat: Matrix) -> bool:
         if mat.field != self.field:
             raise ValueError("field mismatch")
         if mat.shape != self.shape:
             raise ValueError("shape mismatch")
-        return in_row_space(self.field, self.basis.rows, [vectorize(mat)])
-
-    def _check_ambient(self, other: DelsarteCode):
-        if self.field != other.field or self.shape != other.shape:
-            raise ValueError("codes live in different matrix spaces")
+        return in_row_space(self.field, self.basis, [vectorize(mat)])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DelsarteCode)
-                and self.field == other.field
                 and self.shape == other.shape
-                and self.basis.rows == other.basis.rows)
+                and self.space == other.space)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.shape, self.basis.rows))
+        return hash((self.shape, self.space))
 
     def __repr__(self) -> str:
         return (f"DelsarteCode(GF({self.field.q}), {self.nrows}x{self.ncols}, "
@@ -140,17 +148,13 @@ class DelsarteCode:
 def support_space(x: Subspace, m: int) -> DelsarteCode:
     """All m-by-n matrices whose row space lies in x; dimension m*dim x.
 
-    The basis puts each canonical basis row of x into one matrix row at
-    a time, which is already in echelon order.
+    Each canonical basis row of x put into one matrix row at a time
+    gives a basis already in canonical form.
     """
     n = x.n
-    rows = []
-    for i in range(m):
-        for b in x.basis.rows:
-            vec = [0] * (m * n)
-            vec[i * n:(i + 1) * n] = b
-            rows.append(vec)
-    return DelsarteCode(x.field, m, n, Matrix(x.field, rows, ncols=m * n))
+    rows = tuple((0,) * (i * n) + b + (0,) * ((m - 1 - i) * n)
+                 for i in range(m) for b in x.basis)
+    return DelsarteCode._of(Subspace._from_rref(x.field, m * n, rows), m, n)
 
 
 def subcode(code: DelsarteCode, x: Subspace) -> DelsarteCode:
@@ -159,9 +163,8 @@ def subcode(code: DelsarteCode, x: Subspace) -> DelsarteCode:
         raise ValueError("subspace ambient does not match code columns")
     if x.dim == x.n:
         return code
-    sup = support_space(x, code.nrows)
-    rows = rowspace_intersect(code.basis, sup.basis)
-    return DelsarteCode(code.field, code.nrows, code.ncols, rows)
+    return DelsarteCode._of(code.space & support_space(x, code.nrows).space,
+                            code.nrows, code.ncols)
 
 
 def subcode_dims(code: DelsarteCode,
@@ -197,10 +200,10 @@ def subcode_dims(code: DelsarteCode,
         return (0,) * len(lattice)
     F, m, n = code.field, code.nrows, code.ncols
     n_points = lattice.dims.count(1)
-    points = [s.basis.rows[0] for s in lattice.members[1:n_points + 1]]
+    points = [s.basis[0] for s in lattice.members[1:n_points + 1]]
     # Row p - 1 of the product holds G_i[r] . b at column i*m + r, for
     # the canonical basis row b of point p (lattice index p).
-    gen_rows = Matrix(F, [vec[r * n:(r + 1) * n] for vec in code.basis.rows
+    gen_rows = Matrix(F, [vec[r * n:(r + 1) * n] for vec in code.basis
                           for r in range(m)], n)
     prod = Matrix(F, points, n) @ gen_rows.transpose()
     lines: list[tuple] = [()]
@@ -260,9 +263,10 @@ def to_polymatroid(code: DelsarteCode,
 
 
 def trace_dual(code: DelsarteCode) -> DelsarteCode:
-    """Orthogonal code under Trace(M N^t), i.e. the vectorized kernel."""
-    return DelsarteCode(code.field, code.nrows, code.ncols,
-                        code.basis.kernel())
+    """Orthogonal code under Trace(M N^t): the orthogonal complement of
+    the vectorized code under the dot product."""
+    return DelsarteCode._of(code.space.orthogonal_complement(),
+                            code.nrows, code.ncols)
 
 
 def transpose_code(code: DelsarteCode) -> DelsarteCode:
@@ -440,7 +444,7 @@ def min_rank_distance(code: DelsarteCode,
     count = q ** k - 1
     check_guard("nonzero codewords", count, guard)
     F = code.field
-    rows = code.basis.rows
+    rows = code.basis
     width = code.ambient_dim
     best = min(code.ncols, code.nrows)
     for enc in range(1, count + 1):
@@ -493,7 +497,7 @@ def anticode_gap_search(field: GF, size: int) -> GapCertificate | None:
     for member in ambient:
         if member.dim == 0:
             continue
-        code = DelsarteCode(field, size, size, member.basis)
+        code = DelsarteCode._of(member, size, size)
         d = code_weights(code)
         a = anticode_weights(code)
         for r in range(1, code.dim + 1):
@@ -523,7 +527,7 @@ def random_code(field: GF, m: int, n: int, k: int,
         rows = [[rng.randrange(q) for _ in range(width)] for _ in range(k)]
         mat = Matrix(field, rows, width)
         if mat.rank() == k:
-            return DelsarteCode(field, m, n, mat.row_basis())
+            return DelsarteCode(field, m, n, mat)
 
 
 def random_subcode(code: DelsarteCode, k: int,
@@ -539,5 +543,5 @@ def random_subcode(code: DelsarteCode, k: int,
         coeff = Matrix(F, [[rng.randrange(q) for _ in range(code.dim)]
                            for _ in range(k)], code.dim)
         if coeff.rank() == k:
-            picked = coeff @ code.basis
-            return DelsarteCode(F, code.nrows, code.ncols, picked.row_basis())
+            picked = coeff @ Matrix(F, code.basis, code.ambient_dim)
+            return DelsarteCode(F, code.nrows, code.ncols, picked)

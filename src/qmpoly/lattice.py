@@ -1,10 +1,10 @@
 """The lattice of all subspaces of GF(q)^n.
 
-A subspace is represented by its canonical basis: the reduced
-row-echelon matrix whose rows span it.  Enumeration walks pivot-column
-patterns and fills the free entries directly, so every canonical matrix
-is produced exactly once and nothing needs deduplicating; the output
-size equals the answer size.
+A subspace is represented by its canonical basis: the rows of its
+reduced row-echelon form, a tuple of row tuples.  Enumeration walks
+pivot-column patterns and fills the free entries directly, so every
+canonical basis is produced exactly once and nothing needs
+deduplicating; the output size equals the answer size.
 
 Lattice members are ordered by dimension and then lexicographically by
 the flattened canonical basis.  The order is stable across runs, so
@@ -25,8 +25,7 @@ from functools import cached_property
 
 from .errors import check_guard
 from .field import GF
-from .matrix import (Matrix, in_row_space, orthogonal_rows, rowspace_intersect,
-                     rowspace_sum)
+from .matrix import Matrix, in_row_space, orthogonal_rows, rowspace_intersect
 
 DEFAULT_SUBSPACE_GUARD = 10 ** 6
 LATTICE_MEMBERS = "subspace lattice members"
@@ -46,7 +45,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 class Subspace:
-    """A subspace of GF(q)^n held as its canonical echelon basis.
+    """A subspace of GF(q)^n held as its canonical basis: the rows of its
+    reduced echelon form, a tuple of row tuples.
 
     Two subspaces are equal exactly when their canonical bases are, so
     instances are safe as dict keys.
@@ -55,40 +55,40 @@ class Subspace:
     __slots__ = ("field", "n", "basis")
 
     def __init__(self, field: GF, n: int, span):
-        if isinstance(span, Matrix):
-            mat = span
-        else:
-            mat = Matrix(field, span, ncols=n)
-        if mat.ncols != n:
-            raise ValueError(f"spanning rows have {mat.ncols} columns, ambient is {n}")
+        # Spanning rows (or a Matrix) from outside: validated, then reduced.
+        mat = span if isinstance(span, Matrix) else Matrix(field, span, ncols=n)
+        if mat.field != field or mat.ncols != n:
+            raise ValueError(f"spanning rows in {mat.field!r}^{mat.ncols}, ambient {field!r}^{n}")
+        R, rank, _ = mat.rref()
         self.field = field
         self.n = n
-        self.basis = mat.row_basis()
+        self.basis = R.rows[:rank]
 
     @classmethod
-    def _from_rref(cls, field: GF, n: int, mat: Matrix) -> Subspace:
-        # Trusted path for rows already in canonical echelon form.
+    def _from_rref(cls, field: GF, n: int, rows: tuple) -> Subspace:
+        # Trusted path for row tuples already in canonical echelon form.
         s = object.__new__(cls)
         s.field = field
         s.n = n
-        s.basis = mat
+        s.basis = rows
         return s
 
     @classmethod
     def zero(cls, field: GF, n: int) -> Subspace:
-        return cls._from_rref(field, n, Matrix(field, [], ncols=n))
+        return cls._from_rref(field, n, ())
 
     @classmethod
     def full(cls, field: GF, n: int) -> Subspace:
-        return cls._from_rref(field, n, Matrix.identity(field, n))
+        return cls._from_rref(field, n, tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.basis)
 
     def encoding(self) -> tuple[int, ...]:
         """Flattened canonical basis; the lexicographic sort key."""
-        return tuple(v for row in self.basis.rows for v in row)
+        return tuple(v for row in self.basis for v in row)
 
     def _check_ambient(self, other: Subspace):
         if self.field != other.field or self.n != other.n:
@@ -103,36 +103,37 @@ class Subspace:
         self._check_ambient(other)
         if self.dim > other.dim:
             return False
-        return in_row_space(self.field, other.basis.rows, self.basis.rows)
+        return in_row_space(self.field, other.basis, self.basis)
 
     def __add__(self, other: Subspace) -> Subspace:
         self._check_ambient(other)
-        return Subspace._from_rref(
-            self.field, self.n, rowspace_sum(self.basis, other.basis))
+        return Subspace(self.field, self.n, self.basis + other.basis)
 
     def __and__(self, other: Subspace) -> Subspace:
+        # Zassenhaus, independent of the lattice's masks and complements:
+        # `subcode` and the tests use it as the reference intersection.
         self._check_ambient(other)
-        return Subspace._from_rref(
-            self.field, self.n, rowspace_intersect(self.basis, other.basis))
+        F, n = self.field, self.n
+        return Subspace._from_rref(F, n, rowspace_intersect(
+            Matrix(F, self.basis, n), Matrix(F, other.basis, n)).rows)
 
     def orthogonal_complement(self) -> Subspace:
         """All vectors with zero dot product against this subspace, read
         off the canonical basis without reducing it again."""
-        return Subspace._from_rref(self.field, self.n, Matrix(
-            self.field, orthogonal_rows(self.field, self.basis.rows, self.n),
-            self.n))
+        return Subspace._from_rref(
+            self.field, self.n, orthogonal_rows(self.field, self.basis, self.n))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.field == other.field
                 and self.n == other.n
-                and self.basis.rows == other.basis.rows)
+                and self.basis == other.basis)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.n, self.basis.rows))
+        return hash((self.field, self.n, self.basis))
 
     def __repr__(self) -> str:
-        return f"Subspace({self.field!r}, n={self.n}, dim={self.dim}, rows={list(map(list, self.basis.rows))})"
+        return f"Subspace({self.field!r}, n={self.n}, dim={self.dim}, rows={list(map(list, self.basis))})"
 
 
 def all_subspaces(field: GF, n: int):
@@ -152,7 +153,7 @@ def all_subspaces(field: GF, n: int):
                 for (i, j), v in zip(free, assign):
                     rows[i][j] = v
                 block.append(Subspace._from_rref(
-                    field, n, Matrix(field, rows, ncols=n)))
+                    field, n, tuple(map(tuple, rows))))
         block.sort(key=Subspace.encoding)
         yield from block
 
@@ -175,9 +176,9 @@ class SubspaceLattice:
         self.dims = tuple(s.dim for s in self.members)
         # Canonical basis rows -> index: members, complements and parents
         # are looked up by row tuple, never by hashing Subspace objects.
-        self._by_rows = {s.basis.rows: i for i, s in enumerate(self.members)}
+        self._by_rows = {s.basis: i for i, s in enumerate(self.members)}
         self.complements = tuple(
-            self._by_rows[orthogonal_rows(field, s.basis.rows, n)]
+            self._by_rows[orthogonal_rows(field, s.basis, n)]
             for s in self.members)
 
     def __len__(self) -> int:
@@ -199,7 +200,7 @@ class SubspaceLattice:
 
     def index(self, s: Subspace) -> int:
         if s.field == self.field and s.n == self.n:
-            i = self._by_rows.get(s.basis.rows)
+            i = self._by_rows.get(s.basis)
             if i is not None:
                 return i
         raise ValueError("subspace is not a member of this lattice")
@@ -231,11 +232,11 @@ class SubspaceLattice:
                         masks[c[r]] |= 1 << (p - 1)
                         masks[c[p]] |= 1 << (r - 1)
         # A canonical basis row is the canonical basis of its own line.
-        line = {members[p].basis.rows[0]: p for p in range(1, n_points + 1)}
+        line = {members[p].basis[0]: p for p in range(1, n_points + 1)}
         for i, d in enumerate(dims):
             if d >= 2 and d != n - 1:
                 mask = (1 << n_points) - 1
-                for b in members[c[i]].basis.rows:
+                for b in members[c[i]].basis:
                     mask &= masks[c[line[b]]]
                 masks[i] = mask
         return tuple(masks)
@@ -254,7 +255,7 @@ class SubspaceLattice:
         """
         by_rows = self._by_rows
         return (None,) + tuple(
-            (by_rows[s.basis.rows[:-1]], by_rows[s.basis.rows[-1:]])
+            (by_rows[s.basis[:-1]], by_rows[s.basis[-1:]])
             for s in self.members[1:])
 
     @cached_property
@@ -300,14 +301,20 @@ def enumerate_subspaces(field: GF, n: int,
                         guard: int | None = None) -> SubspaceLattice:
     """Build (or fetch) the full subspace lattice of GF(q)^n.
 
-    The member count is computed from Gaussian binomials before any
-    enumeration; if it exceeds the guard the call fails fast and
-    reports the count that would be needed.
+    The member count is checked against the guard before enumeration.
+    It is at least 2^bits, bits = (bitlen(q) - 1) a (n - a) with a = n // 2,
+    as GF(q)^n has at least q^(a(n-a)) subspaces of dimension a.  A
+    2^bits over the guard and over 64 bits (so reported as "at least
+    2^bits") fails the call without the exact count, which costs
+    seconds at q = 65521, n = 1024; otherwise the exact count decides.
     """
     if n < 0:
         raise ValueError("ambient dimension must be nonnegative")
-    check_guard(LATTICE_MEMBERS, lattice_size(field, n),
-                DEFAULT_SUBSPACE_GUARD if guard is None else guard)
+    if guard is None:
+        guard = DEFAULT_SUBSPACE_GUARD
+    bits = (field.q.bit_length() - 1) * (n // 2) * (n - n // 2)
+    check_guard(LATTICE_MEMBERS, 1 << bits if bits >= max(64, guard.bit_length())
+                else lattice_size(field, n), guard)
     key = (field.p, field.e, n)
     lat = _lattice_cache.get(key)
     if lat is None:

@@ -1,6 +1,6 @@
-"""Immutable dense matrices over GF(q), with the exact row-space
-operations (echelon forms, kernels, sums, intersections) that the
-subspace lattice is built from."""
+"""Immutable dense matrices over GF(q), and the exact row-space
+operations (echelon forms, containment, orthogonal complements,
+intersections) that the subspace lattice is built from."""
 
 from __future__ import annotations
 
@@ -117,12 +117,6 @@ class Matrix:
         """Canonical basis of the row space: rref with zero rows dropped."""
         R, rank, _ = self.rref()
         return Matrix(self.field, R.rows[:rank], self.ncols)
-
-    def kernel(self) -> Matrix:
-        """Canonical basis of the right null space, one row per vector."""
-        R, rank, _ = self.rref()
-        return Matrix(self.field, orthogonal_rows(self.field, R.rows[:rank],
-                                                  self.ncols), self.ncols)
 
     def inverse(self) -> Matrix:
         if self.nrows != self.ncols:
@@ -256,11 +250,6 @@ def trace_product(a: Matrix, b: Matrix) -> int:
             if x and y:
                 acc = F.add(acc, F.mul(x, y))
     return acc
-
-
-def rowspace_sum(a: Matrix, b: Matrix) -> Matrix:
-    """Canonical basis of rowspace(a) + rowspace(b)."""
-    return vstack(a, b).row_basis()
 
 
 def rowspace_intersect(a: Matrix, b: Matrix) -> Matrix:

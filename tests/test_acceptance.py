@@ -209,7 +209,7 @@ def test_c8_anticode_weight_comparison(population, gf2):
     else:
         print(f"ACCEPTANCE c8 note: gap certificate r={cert.r}, "
               f"a_r={cert.anticode_weight} < d_r={cert.support_weight}, "
-              f"code basis {[list(r) for r in cert.code.basis.rows]}")
+              f"code basis {[list(r) for r in cert.code.basis]}")
         a = anticode_weights(cert.code)
         d = code_weights(cert.code)
         assert a.values[cert.r - 1] < d.values[cert.r - 1]

@@ -206,24 +206,32 @@ def test_weights_lattice_guard(tmp_path, capsys):
     assert "guard" in err
     assert guard_line(err, "subspace lattice members", 5, 2).endswith(LATTICE_KNOBS)
 
-    # a member count too long for str() is reported by its size
+    # a member count too long for str() is reported by a power of two
+    # below it
     path = tmp_path / "wide_table.json"
     path.write_text('{"kind": "table", "p": 2, "e": 1, "n": 300, "m": 1, '
                     '"values": []}\n')
     code, _, err = run(capsys, "weights", str(path))
     assert code == EXIT_GUARD
-    assert guard_line(err, "subspace lattice members", "at least 2^22502",
+    assert guard_line(err, "subspace lattice members", "at least 2^22500",
                       10 ** 6).endswith(LATTICE_KNOBS)
+    assert qmpoly.lattice_size(qmpoly.field(2), 300).bit_length() > 22500
 
-    # counted in O(n) big-int products, not by summing Gaussian binomials
-    path = tmp_path / "long_code.json"
-    path.write_text('{"p": 2, "e": 1, "m": 1, "n": 1024, "generators": []}\n')
-    start = time.perf_counter()
-    code, _, err = run(capsys, "verify", str(path))
-    assert time.perf_counter() - start < 2
-    assert code == EXIT_GUARD
-    assert guard_line(err, "subspace lattice members", "at least 2^262146",
-                      10 ** 6).endswith(LATTICE_KNOBS)
+    # A count past the guard by its lower bound q^(floor(n/2) ceil(n/2))
+    # is reported by that bound, a true lower bound of the exact count,
+    # which is never computed: it took seconds at q = 65521, n = 1024.
+    for p, n, bits in [(2, 1024, 262144), (65521, 1024, 15 * 512 * 512)]:
+        path = tmp_path / "long_code.json"
+        path.write_text(json.dumps(
+            {"p": p, "e": 1, "m": 1, "n": n, "generators": []}) + "\n")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD
+        assert guard_line(err, "subspace lattice members", f"at least 2^{bits}",
+                          10 ** 6).endswith(LATTICE_KNOBS)
+        if p == 2:
+            assert qmpoly.lattice_size(qmpoly.field(p), n).bit_length() > bits
 
 
 def test_fixed_guards_name_resource_and_limit(tmp_path, capsys):

@@ -4,10 +4,10 @@ import time
 
 import pytest
 
-from qmpoly import (GuardExceeded, Matrix, PolymatroidTable, Subspace,
-                    SubspaceLattice, all_subspaces, check_axioms,
+from qmpoly import (DelsarteCode, GuardExceeded, Matrix, PolymatroidTable,
+                    Subspace, SubspaceLattice, all_subspaces, check_axioms,
                     enumerate_subspaces, field, gaussian_binomial, lattice_size,
-                    vstack)
+                    random_code, support_space, trace_dual, vstack)
 from qmpoly.lattice import MASK_BITS, MAX_MASK_BITS
 
 
@@ -82,6 +82,15 @@ def test_orthogonal_complement_examples(gf2):
     assert e1.orthogonal_complement() == Subspace(gf2, 3, [[0, 1, 0], [0, 0, 1]])
 
 
+def test_spanning_rows_are_validated(gf2):
+    with pytest.raises(ValueError):  # a matrix over another field
+        Subspace(gf2, 2, Matrix(field(5), [[4, 3]]))
+    with pytest.raises(ValueError):
+        Subspace(gf2, 3, Matrix(gf2, [[1, 0]]))
+    with pytest.raises(ValueError):
+        Subspace(gf2, 2, [[2, 0]])
+
+
 def test_containment(gf2):
     zero = Subspace.zero(gf2, 2)
     full = Subspace.full(gf2, 2)
@@ -101,7 +110,9 @@ def test_containment(gf2):
 def test_containment_matches_the_stacked_rank_reference(p, e, n):
     lat = SubspaceLattice(field(p, e), n)
     for x, y in itertools.product(lat, repeat=2):
-        assert (x <= y) == (vstack(y.basis, x.basis).rank() == y.dim)
+        rank = vstack(Matrix(x.field, y.basis, n),
+                      Matrix(x.field, x.basis, n)).rank()
+        assert (x <= y) == (rank == y.dim)
 
 
 def reference_kernel(mat):
@@ -127,7 +138,7 @@ def reference_kernel(mat):
 def test_complements_match_the_kernel_reference(p, e, n):
     lat = SubspaceLattice(field(p, e), n)
     for x, c in zip(lat, lat.complements):
-        ref = reference_kernel(x.basis)
+        ref = reference_kernel(Matrix(x.field, x.basis, n)).rows
         assert lat[c].basis == ref
         assert x.orthogonal_complement().basis == ref
 
@@ -149,6 +160,28 @@ def test_complements_are_read_off_canonical_bases(gf2, monkeypatch):
     # reduced every member's basis again (2 * 374 rref calls here).
     calls = count_rref_calls(monkeypatch)
     SubspaceLattice(gf2, 5)
+    assert calls == []
+
+
+def test_trusted_paths_build_no_matrix(gf2, monkeypatch):
+    # Only outside input is validated through Matrix; lattice members,
+    # complements, support spaces, trace duals and the zero and full
+    # codes are canonical row tuples as built.
+    x = Subspace(gf2, 4, [[1, 0, 1, 1], [0, 1, 1, 0]])
+    code = random_code(gf2, 2, 4, 3, random.Random(5))
+    calls = []
+    init = Matrix.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    assert len(SubspaceLattice(gf2, 5)) == 374
+    assert support_space(x, 3).dim == 6
+    assert trace_dual(code).dim == 5
+    assert DelsarteCode.zero(gf2, 2, 4).dim == 0
+    assert DelsarteCode.full(gf2, 2, 4).dim == 8
+    assert x.orthogonal_complement().dim == 2
     assert calls == []
 
 
@@ -270,10 +303,20 @@ def test_lattice_index_and_membership(gf2):
 
 
 def test_guard_exceeded_reports_needed_count(gf2):
+    # Up to 64 bits the exact count is reported.
+    with pytest.raises(GuardExceeded) as exc:
+        enumerate_subspaces(gf2, 12)
+    assert exc.value.needed == lattice_size(gf2, 12)
+    assert exc.value.needed > 10 ** 6
+    # Past that, the lower bound 2^(floor(n/2) ceil(n/2)) is reported
+    # once it exceeds the guard; the exact count is never computed.
     with pytest.raises(GuardExceeded) as exc:
         enumerate_subspaces(gf2, 40)
+    assert exc.value.needed == 2 ** 400 < lattice_size(gf2, 40)
+    # A guard above the bound falls back to the exact count.
+    with pytest.raises(GuardExceeded) as exc:
+        enumerate_subspaces(gf2, 40, guard=2 ** 400)
     assert exc.value.needed == lattice_size(gf2, 40)
-    assert exc.value.needed > 10 ** 6
 
 
 def test_generator_matches_lattice(gf2):

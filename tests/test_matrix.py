@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from qmpoly import (Matrix, enumerate_subspaces, rowspace_intersect,
-                    rowspace_sum, trace_product, vstack)
+from qmpoly import (Matrix, Subspace, enumerate_subspaces, rowspace_intersect,
+                    trace_product, vstack)
 
 
 def rand_matrix(f, nrows, ncols, rng):
@@ -40,23 +40,24 @@ def test_rref_idempotent_and_row_space_invariant(gf2, gf3):
 
 
 def test_rank_nullity(gf2, gf3):
+    # The orthogonal complement of the row space is the right null space.
     rng = random.Random(7)
     for f in (gf2, gf3):
         for _ in range(40):
             m = rand_matrix(f, rng.randrange(1, 5), rng.randrange(1, 5), rng)
-            ker = m.kernel()
-            assert m.rank() + ker.nrows == m.ncols
-            for row in ker.rows:
+            ker = Subspace(f, m.ncols, m).orthogonal_complement()
+            assert m.rank() + ker.dim == m.ncols
+            for row in ker.basis:
                 col = Matrix(f, [[v] for v in row], 1)
                 assert all(v == (0,) for v in (m @ col).rows)
 
 
 def test_kernel_examples(gf2):
-    assert Matrix.identity(gf2, 3).kernel().nrows == 0
-    z = Matrix.zeros(gf2, 2, 3)
-    assert z.kernel() == Matrix.identity(gf2, 3)
-    k = Matrix(gf2, [[1, 1]]).kernel()
-    assert k.rows == ((1, 1),)
+    def kernel(mat):
+        return Subspace(gf2, mat.ncols, mat).orthogonal_complement().basis
+    assert kernel(Matrix.identity(gf2, 3)) == ()
+    assert kernel(Matrix.zeros(gf2, 2, 3)) == Matrix.identity(gf2, 3).rows
+    assert kernel(Matrix(gf2, [[1, 1]])) == ((1, 1),)
 
 
 def test_trace_product_examples(gf2, gf3):
@@ -84,8 +85,9 @@ def test_trace_product_is_symmetric_bilinear(gf3):
 def test_rowspace_sum_and_intersect_examples(gf2):
     e1 = Matrix(gf2, [[1, 0]])
     e2 = Matrix(gf2, [[0, 1]])
-    assert rowspace_sum(e1, e1) == e1
-    assert rowspace_sum(e1, e2) == Matrix.identity(gf2, 2)
+    s1, s2 = Subspace(gf2, 2, e1), Subspace(gf2, 2, e2)
+    assert (s1 + s1).basis == e1.rows
+    assert (s1 + s2).basis == Matrix.identity(gf2, 2).rows
     assert rowspace_intersect(e1, e2).nrows == 0
     a = Matrix(gf2, [[1, 0, 0], [0, 1, 0]])
     b = Matrix(gf2, [[0, 1, 0], [0, 0, 1]])

@@ -1,5 +1,6 @@
 """Property tests of the input parser, the CLI, the weight scan, table
-duality and the lattice's pair operations on generated inputs.
+duality, the lattice's pair operations and canonical bases on generated
+inputs.
 
 Examples are derandomized, so every run draws the same inputs.  Sizes
 stay small: the explicit reproductions in test_cli.py own the timing
@@ -12,13 +13,13 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qmpoly import (PolymatroidTable, WeiReport, conullity_table,
-                    enumerate_subspaces, field, lattice_size, nullity_profiles,
-                    nullity_table, uniform, wei_duality_report,
-                    weight_witnesses)
+from qmpoly import (DelsarteCode, Matrix, PolymatroidTable, Subspace, WeiReport,
+                    conullity_table, devectorize, enumerate_subspaces, field,
+                    lattice_size, nullity_profiles, nullity_table, uniform,
+                    wei_duality_report, weight_witnesses)
 from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
                         InputError, load_input, main)
 from qmpoly.errors import GuardExceeded
@@ -279,3 +280,50 @@ def test_conullity_is_the_nullity_of_the_dual(table):
     dual = table.dual()
     for i in range(len(table.lattice)):
         assert table.conullity_at(i) == dual.nullity_at(i)
+
+
+@st.composite
+def spanning_rows(draw):
+    """Rows of width m*n over GF(2), GF(3), GF(4) or GF(5): random rows,
+    some scaled copies and a sum of two, in random order, so they are
+    often dependent and rarely in echelon form."""
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]))
+    f = field(p, e)
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, f.q - 1), min_size=m * n, max_size=m * n)
+    rows = draw(st.lists(row, max_size=4))
+    scale = st.integers(1, f.q - 1)
+    rows += [[f.mul(c, v) for v in r]
+             for r, c in zip(rows, draw(st.lists(scale, max_size=len(rows))))]
+    if len(rows) >= 2:
+        rows.append([f.add(a, b) for a, b in zip(rows[0], rows[1])])
+    return f, m, n, draw(st.permutations(rows))
+
+
+def is_reduced_echelon(rows) -> bool:
+    """Leading 1s, strictly increasing pivots, and zeros above and below
+    each pivot."""
+    pivots = []
+    for r in rows:
+        lead = next((j for j, v in enumerate(r) if v), None)
+        if lead is None or r[lead] != 1 or (pivots and lead <= pivots[-1]):
+            return False
+        pivots.append(lead)
+    return all(r[c] == int(i == k) for k, c in enumerate(pivots)
+               for i, r in enumerate(rows))
+
+
+@SETTINGS
+@given(spanning_rows())
+@example((field(3), 1, 2, [[2, 0]]))
+def test_codes_and_subspaces_reduce_spanning_rows_to_one_canonical_basis(case):
+    f, m, n, rows = case
+    basis = Subspace(f, m * n, rows).basis
+    assert is_reduced_echelon(basis)
+    rank = Matrix(f, rows, m * n).rank()
+    assert len(basis) == rank == Matrix(f, list(basis) + rows, m * n).rank()
+    code = DelsarteCode(f, m, n, Matrix(f, rows, m * n))
+    spanned = DelsarteCode.span(f, m, n, [devectorize(f, m, n, r) for r in rows])
+    assert code.basis == basis
+    assert code == spanned and hash(code) == hash(spanned)
+    assert code.is_subcode_of(spanned) and spanned.is_subcode_of(code)
