@@ -5,8 +5,9 @@ duality, code/table dual compatibility, and flag duality."""
 
 from .delsarte import (DelsarteCode, GapCertificate, anticode_gap_search,
                        anticode_weights, code_weights, devectorize, gabidulin,
-                       is_mrd, min_rank_distance, random_code, random_subcode,
-                       subcode, subcode_dims, support_space, to_polymatroid,
+                       intersection_demipolymatroid, is_mrd, min_rank_distance,
+                       random_code, random_subcode, subcode, subcode_dims,
+                       sum_polymatroid, support_space, to_polymatroid,
                        trace_dual, transpose_code, transpose_min_polymatroid,
                        vectorize)
 from .errors import GuardExceeded
@@ -18,20 +19,19 @@ from .flags import (Flag, FlagDualityReport, NestingError, NormalizedFlag,
 from .lattice import (DEFAULT_SUBSPACE_GUARD, Subspace, SubspaceLattice,
                       all_subspaces, enumerate_subspaces, gaussian_binomial,
                       lattice_size)
-from .matrix import Matrix, rowspace_intersect, trace_product, vstack
+from .matrix import Matrix, trace_product, vstack
 from .polymatroid import (AxiomCheck, AxiomReport, NullityProfiles,
                           PolymatroidTable, ResidueDuality, Verdict,
                           WeightProfile, WeiReport, check_axioms,
                           conullity_table, generalized_weights,
-                          intersection_demipolymatroid, nullity_profiles,
-                          nullity_table, residue_partition, sum_polymatroid,
+                          nullity_profiles, nullity_table, residue_partition,
                           uniform, wei_duality_report, weight_witnesses)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GF", "field", "GuardExceeded",
-    "Matrix", "vstack", "trace_product", "rowspace_intersect",
+    "Matrix", "vstack", "trace_product",
     "Subspace", "SubspaceLattice", "all_subspaces", "enumerate_subspaces",
     "gaussian_binomial", "lattice_size", "DEFAULT_SUBSPACE_GUARD",
     "PolymatroidTable", "Verdict", "AxiomCheck", "AxiomReport",

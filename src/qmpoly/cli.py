@@ -193,13 +193,15 @@ def load_input(path: str, guard: int):
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text ({exc})") from None
     if not lines:
         raise InputError(f"{path} is empty")
     objs = []
     for i, ln in enumerate(lines):
         try:
             objs.append(json.loads(ln))
-        except ValueError as exc:  # also ints past the 4300-digit limit
+        except (ValueError, RecursionError) as exc:  # huge ints, deep nesting
             raise InputError(f"{path}:{i + 1}: invalid JSON ({exc})") from None
         if not isinstance(objs[-1], dict):
             raise InputError(f"{path}:{i + 1}: expected a JSON object")

@@ -1,7 +1,9 @@
 """Delsarte rank-metric codes: linear spaces of m-by-n matrices over
 GF(q), their subcodes supported on a subspace, trace duals, associated
 rank tables, and the two weight theories (support weights and
-anticode-based weights).
+anticode-based weights).  `to_polymatroid` is the one place a rank
+table is computed from subspaces: block sums and weighted intersection
+tables are sums of the tables of 1-by-n codes.
 
 A code is a `Subspace` of GF(q)^(mn), the row-major vectorizations of
 its codewords, together with its shape; code equality is subspace
@@ -20,7 +22,8 @@ from .errors import check_guard
 from .field import GF, _digits, _undigits, field
 from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
 from .matrix import Matrix, in_row_space
-from .polymatroid import PolymatroidTable, WeightProfile, generalized_weights
+from .polymatroid import (PolymatroidTable, WeightProfile, conullity_table,
+                          generalized_weights)
 
 DEFAULT_CODEWORD_GUARD = 1 << 20
 
@@ -270,9 +273,15 @@ def trace_dual(code: DelsarteCode) -> DelsarteCode:
 
 
 def transpose_code(code: DelsarteCode) -> DelsarteCode:
-    """Entrywise transpose of every codeword; shape flips to n-by-m."""
-    gens = [g.transpose() for g in code.generators]
-    return DelsarteCode.span(code.field, code.ncols, code.nrows, gens)
+    """Entrywise transpose of every codeword; shape flips to n-by-m.
+
+    Entry (i, j) of a codeword sits at i*n + j of its vector, so row j
+    of the transpose is v[j::n]; the permuted rows are reduced once.
+    """
+    n = code.ncols
+    return DelsarteCode(code.field, n, code.nrows,
+                        [tuple(v for j in range(n) for v in row[j::n])
+                         for row in code.basis])
 
 
 def code_weights(code: DelsarteCode,
@@ -288,7 +297,8 @@ def anticode_weights(code: DelsarteCode) -> WeightProfile:
     """Anticode-based weights, via the shape-dependent reduction:
 
       m > n : equal to the code's own weights
-      m = n : pointwise min with the transposed code's weights
+      m = n : the weights of `transpose_min_polymatroid`, the pointwise
+              min of the code's and its transpose's weights
       m < n : the transposed code's weights (computed on its own,
               wider-row side, where values range in 1..m)
     """
@@ -297,13 +307,9 @@ def anticode_weights(code: DelsarteCode) -> WeightProfile:
     m, n = code.shape
     if m > n:
         return code_weights(code)
-    flipped = transpose_code(code)
     if m < n:
-        return code_weights(flipped)
-    a = code_weights(code)
-    b = code_weights(flipped)
-    return WeightProfile(code.dim,
-                         tuple(min(x, y) for x, y in zip(a.values, b.values)))
+        return code_weights(transpose_code(code))
+    return generalized_weights(transpose_min_polymatroid(code))
 
 
 def transpose_min_polymatroid(
@@ -311,14 +317,57 @@ def transpose_min_polymatroid(
         lattice: SubspaceLattice | None = None) -> PolymatroidTable:
     """For square shapes, the pointwise min of the rank tables of the
     code and its transpose.  A demi-polymatroid whose conullity is the
-    max of the two subcode dimensions and whose weights are the
-    pointwise min of the two profiles."""
+    max of the two subcode dimensions, so its weights are the pointwise
+    min of the two profiles."""
     if code.nrows != code.ncols:
         raise ValueError("defined for square matrix codes only")
     t1 = to_polymatroid(code, lattice)
     t2 = to_polymatroid(transpose_code(code), t1.lattice)
     vals = [min(a, b) for a, b in zip(t1.values, t2.values)]
     return PolymatroidTable(t1.lattice, code.nrows, vals)
+
+
+def _block_table(spaces: Sequence[Subspace], weights: Sequence[int],
+                 lattice: SubspaceLattice | None, noun: str) -> PolymatroidTable:
+    """sum_i w_i * rho_i with multiplier sum_i w_i, rho_i the rank table
+    dim V_i - dim(V_i & X_perp) of the 1-by-n code `support_space(V_i, 1)`:
+    one table per space, whatever its weight."""
+    if not spaces:
+        raise ValueError(f"need at least one {noun}")
+    field, n = spaces[0].field, spaces[0].n
+    if any(v.field != field or v.n != n for v in spaces):
+        raise ValueError(f"ambient space mismatch among {noun}s")
+    lat = lattice if lattice is not None else enumerate_subspaces(field, n)
+    vals = [0] * len(lat)
+    for v, w in zip(spaces, weights):
+        table = to_polymatroid(support_space(v, 1), lat)
+        vals = [a + w * b for a, b in zip(vals, table.values)]
+    return PolymatroidTable(lat, sum(weights), vals)
+
+
+def sum_polymatroid(blocks: Sequence[Subspace],
+                    lattice: SubspaceLattice | None = None) -> PolymatroidTable:
+    """Sum of the rank tables of m length-n block codes C_i (subspaces of
+    GF(q)^n), each dim C_i - dim(C_i & X_perp): a (q,m)-polymatroid with
+    m = number of blocks and conullity sum_i dim(C_i & X)."""
+    return _block_table(blocks, [1] * len(blocks), lattice, "block code")
+
+
+def intersection_demipolymatroid(
+        spaces: Sequence[Subspace], weights: Sequence[int],
+        lattice: SubspaceLattice | None = None) -> PolymatroidTable:
+    """Weighted intersection-dimension table
+    rho(J) = sum_i w_i * dim(V_i & J), with multiplier m = sum of the
+    weights: the conullity of the weighted sum of the V_i's code tables.
+    Generally a demi-polymatroid only; its dual is the same construction
+    on the orthogonal complements of the V_i.
+    """
+    if len(spaces) != len(weights):
+        raise ValueError(
+            f"{len(spaces)} subspaces but {len(weights)} weights")
+    if any(w < 1 for w in weights):
+        raise ValueError("weights must be positive integers")
+    return conullity_table(_block_table(spaces, weights, lattice, "subspace"))
 
 
 # -- Gabidulin construction -------------------------------------------

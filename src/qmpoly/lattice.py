@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .errors import check_guard
 from .field import GF
-from .matrix import Matrix, in_row_space, orthogonal_rows, rowspace_intersect
+from .matrix import Matrix, in_row_space, orthogonal_rows, rref_rows
 
 DEFAULT_SUBSPACE_GUARD = 10 ** 6
 LATTICE_MEMBERS = "subspace lattice members"
@@ -110,12 +110,16 @@ class Subspace:
         return Subspace(self.field, self.n, self.basis + other.basis)
 
     def __and__(self, other: Subspace) -> Subspace:
-        # Zassenhaus, independent of the lattice's masks and complements:
-        # `subcode` and the tests use it as the reference intersection.
+        # Zassenhaus, the reference intersection (independent of masks
+        # and complements): reduce [a | a; b | 0] once; the right halves
+        # of the rows whose left half vanished are the canonical basis.
         self._check_ambient(other)
         F, n = self.field, self.n
-        return Subspace._from_rref(F, n, rowspace_intersect(
-            Matrix(F, self.basis, n), Matrix(F, other.basis, n)).rows)
+        rows, rank, _ = rref_rows(
+            F, [list(r + r) for r in self.basis]
+            + [list(r + (0,) * n) for r in other.basis], 2 * n)
+        return Subspace._from_rref(F, n, tuple(
+            tuple(r[n:]) for r in rows[:rank] if not any(r[:n])))
 
     def orthogonal_complement(self) -> Subspace:
         """All vectors with zero dot product against this subspace, read

@@ -1,6 +1,6 @@
 """Immutable dense matrices over GF(q), and the exact row-space
-operations (echelon forms, containment, orthogonal complements,
-intersections) that the subspace lattice is built from."""
+operations (echelon forms, containment, orthogonal complements) that
+the subspace lattice is built from."""
 
 from __future__ import annotations
 
@@ -155,8 +155,9 @@ def rref_rows(F: GF, rows: list[list[int]],
               ncols: int) -> tuple[list[list[int]], int, tuple[int, ...]]:
     """Gauss-Jordan elimination on a list of row lists, in place:
     (rows, rank, pivot columns), with the rows in reduced echelon form
-    and zero rows trailing.  `Matrix.rref` and `orthogonal_rows` share
-    it; trusted internal callers use it without building a `Matrix`."""
+    and zero rows trailing.  `Matrix.rref`, `orthogonal_rows` and
+    `Subspace.__and__` share it; trusted internal callers use it without
+    building a `Matrix`."""
     sub, mul = F.sub, F.mul
     nr = len(rows)
     pivots = []
@@ -250,22 +251,3 @@ def trace_product(a: Matrix, b: Matrix) -> int:
             if x and y:
                 acc = F.add(acc, F.mul(x, y))
     return acc
-
-
-def rowspace_intersect(a: Matrix, b: Matrix) -> Matrix:
-    """Canonical basis of rowspace(a) & rowspace(b).
-
-    Zassenhaus-style: echelonize [a | a; b | 0]; the right halves of the
-    rows whose left half vanished span the intersection.
-    """
-    if a.field != b.field or a.ncols != b.ncols:
-        raise ValueError("intersection needs matching fields and widths")
-    F = a.field
-    n = a.ncols
-    ra = a.row_basis()
-    rb = b.row_basis()
-    stacked = ([list(r) + list(r) for r in ra.rows]
-               + [list(r) + [0] * n for r in rb.rows])
-    R, rank, _ = Matrix(F, stacked, 2 * n).rref()
-    inter = [row[n:] for row in R.rows[:rank] if not any(row[:n])]
-    return Matrix(F, inter, n).row_basis()

@@ -14,7 +14,8 @@ with a polymatroid requiring R1-R3 and a demi-polymatroid R1, R2, R4.
 The r-th generalized weight of a table of rank K is the least dimension
 of a subspace whose conullity rho(E) - rho(X_perp) reaches r, and the
 m-fold Wei duality machinery below verifies how the weights of a table
-and of its dual partition {1..n} residue class by residue class.
+and of its dual partition {1..n} residue class by residue class.  This
+module is table algebra only; tables of codes come from `delsarte`.
 
 Result records are named tuples, except `WeightProfile`, whose `len`
 and iteration run over its values; none of them needs `dataclasses`,
@@ -425,55 +426,3 @@ def wei_duality_report(table: PolymatroidTable) -> WeiReport:
                      witnesses=witnesses, residues=residues,
                      partition_ok=partition_ok, disjoint_ok=disjoint_ok,
                      monotone_gaps_ok=gaps_ok)
-
-
-def sum_polymatroid(blocks: Sequence[Subspace],
-                    lattice: SubspaceLattice | None = None) -> PolymatroidTable:
-    """Sum of the rank functions of m length-n block codes.
-
-    Each block C_i (a subspace of GF(q)^n) contributes
-    dim C_i - dim(C_i & X_perp); the total is a (q,m)-polymatroid with
-    m = number of blocks and conullity sum_i dim(C_i & X).
-    """
-    if not blocks:
-        raise ValueError("need at least one block code")
-    field, n = blocks[0].field, blocks[0].n
-    for b in blocks[1:]:
-        if b.field != field or b.n != n:
-            raise ValueError("ambient space mismatch among blocks")
-    lat = lattice if lattice is not None else enumerate_subspaces(field, n)
-    bidx = [lat.index(b) for b in blocks]
-    vals = []
-    for j in range(len(lat)):
-        cj = lat.complements[j]
-        vals.append(sum(lat.dims[bi] - lat.dims[lat.meet_index(bi, cj)]
-                        for bi in bidx))
-    return PolymatroidTable(lat, len(blocks), vals)
-
-
-def intersection_demipolymatroid(
-        spaces: Sequence[Subspace], weights: Sequence[int],
-        lattice: SubspaceLattice | None = None) -> PolymatroidTable:
-    """Weighted intersection-dimension table
-    rho(J) = sum_i w_i * dim(V_i & J), with multiplier m = sum of the
-    weights.  Generally a demi-polymatroid only; its dual is the same
-    construction on the orthogonal complements of the V_i.
-    """
-    if len(spaces) != len(weights):
-        raise ValueError(
-            f"{len(spaces)} subspaces but {len(weights)} weights")
-    if not spaces:
-        raise ValueError("need at least one subspace")
-    if any(w < 1 for w in weights):
-        raise ValueError("weights must be positive integers")
-    field, n = spaces[0].field, spaces[0].n
-    for v in spaces[1:]:
-        if v.field != field or v.n != n:
-            raise ValueError("ambient space mismatch among subspaces")
-    lat = lattice if lattice is not None else enumerate_subspaces(field, n)
-    vidx = [lat.index(v) for v in spaces]
-    vals = []
-    for j in range(len(lat)):
-        vals.append(sum(w * lat.dims[lat.meet_index(vi, j)]
-                        for vi, w in zip(vidx, weights)))
-    return PolymatroidTable(lat, sum(weights), vals)

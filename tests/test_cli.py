@@ -504,6 +504,14 @@ def test_input_error_messages_name_fields(tmp_path, capsys):
     code, _, err = run(capsys, "weights", str(path))
     assert code == EXIT_INPUT and "'kind'" in err
 
+    path.write_bytes(b'\xff\xfe{"p": 2}\n')
+    code, _, err = run(capsys, "weights", str(path))
+    assert code == EXIT_INPUT and str(path) in err and "UTF-8" in err
+
+    path.write_text("[" * 100000 + "\n")
+    code, _, err = run(capsys, "weights", str(path))
+    assert code == EXIT_INPUT and f"{path}:1: invalid JSON" in err
+
     # e is checked before the trial division of a large prime p
     path.write_text('{"p": 10000000000000061, "e": 0, "m": 1, "n": 1, '
                     '"generators": []}\n')

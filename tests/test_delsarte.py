@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qmpoly import (DelsarteCode, GuardExceeded, Matrix, Subspace,
-                    anticode_gap_search, anticode_weights, check_axioms,
+                    WeightProfile, anticode_gap_search, anticode_weights, check_axioms,
                     code_weights, devectorize, enumerate_subspaces, field,
                     gabidulin, generalized_weights, is_mrd,
                     min_rank_distance, random_code, random_flag,
@@ -173,11 +173,14 @@ def test_trace_dual_properties(gf2):
 def test_transpose_involution(gf2, gf3):
     rng = random.Random(21)
     for f in (gf2, gf3):
-        for _ in range(5):
-            c = random_code(f, 2, 3, rng.randrange(1, 6), rng)
-            t = transpose_code(c)
-            assert t.shape == (3, 2) and t.dim == c.dim
-            assert transpose_code(t) == c
+        for m, n in ((2, 3), (3, 2), (3, 3)):
+            for _ in range(5):
+                c = random_code(f, m, n, rng.randrange(1, m * n), rng)
+                t = transpose_code(c)
+                assert t.shape == (n, m) and t.dim == c.dim
+                assert t == DelsarteCode.span(
+                    f, n, m, [g.transpose() for g in c.generators])
+                assert transpose_code(t) == c
 
 
 def test_code_weights_full_space_and_line_support(gf2):
@@ -270,6 +273,18 @@ def test_anticode_weights_square_bounded_by_support_weights(gf2):
     sym = DelsarteCode.span(gf2, 2, 2, [Matrix.identity(gf2, 2)])
     assert transpose_code(sym) == sym
     assert anticode_weights(sym) == code_weights(sym)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_square_anticode_weights_are_the_min_of_both_profiles(p, e):
+    f = field(p, e)
+    rng = random.Random(p ** e)
+    for size in (2, 3):
+        for _ in range(4):
+            c = random_code(f, size, size, rng.randrange(1, size * size), rng)
+            a, b = code_weights(c), code_weights(transpose_code(c))
+            assert anticode_weights(c) == WeightProfile(
+                c.dim, tuple(min(x, y) for x, y in zip(a.values, b.values)))
 
 
 def test_anticode_weights_wide_shapes_use_transpose(gf2):

@@ -185,6 +185,24 @@ def test_trusted_paths_build_no_matrix(gf2, monkeypatch):
     assert calls == []
 
 
+def test_intersection_is_one_elimination_without_matrix(gf2, monkeypatch):
+    # Zassenhaus on the canonical row tuples: the rows of the one
+    # stacked reduction whose left half vanished are the answer as they
+    # stand (the old route made 4 rref and 11 Matrix.__init__ calls).
+    a = Subspace(gf2, 4, [[1, 0, 1, 1], [0, 1, 1, 0]])
+    b = Subspace(gf2, 4, [[0, 1, 1, 0], [0, 0, 0, 1]])
+    inits = []
+    init = Matrix.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    rref_calls = count_rref_calls(monkeypatch)
+    assert (a & b).basis == ((0, 1, 1, 0),)
+    assert rref_calls == [] and inits == []
+
+
 def test_first_mask_build_tests_containment_without_row_reduction(
         monkeypatch):
     # GF(5)^3 has L = 31 points: the build makes L(L+1)/2 containment

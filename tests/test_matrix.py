@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from qmpoly import (Matrix, Subspace, enumerate_subspaces, rowspace_intersect,
-                    trace_product, vstack)
+from qmpoly import Matrix, Subspace, enumerate_subspaces, trace_product, vstack
 
 
 def rand_matrix(f, nrows, ncols, rng):
@@ -88,10 +87,10 @@ def test_rowspace_sum_and_intersect_examples(gf2):
     s1, s2 = Subspace(gf2, 2, e1), Subspace(gf2, 2, e2)
     assert (s1 + s1).basis == e1.rows
     assert (s1 + s2).basis == Matrix.identity(gf2, 2).rows
-    assert rowspace_intersect(e1, e2).nrows == 0
-    a = Matrix(gf2, [[1, 0, 0], [0, 1, 0]])
-    b = Matrix(gf2, [[0, 1, 0], [0, 0, 1]])
-    assert rowspace_intersect(a, b) == Matrix(gf2, [[0, 1, 0]])
+    assert (s1 & s2).dim == 0
+    a = Subspace(gf2, 3, [[1, 0, 0], [0, 1, 0]])
+    b = Subspace(gf2, 3, [[0, 1, 0], [0, 0, 1]])
+    assert (a & b).basis == ((0, 1, 0),)
 
 
 def test_modular_law_exhaustive_gf2_n4(gf2):

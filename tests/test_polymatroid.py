@@ -12,8 +12,8 @@ import pytest
 import qmpoly
 from qmpoly import (AxiomCheck, AxiomReport, DelsarteCode, FlagDualityReport,
                     GapCertificate, NullityProfiles, PolymatroidTable,
-                    ResidueDuality, Subspace, Verdict, WeightProfile,
-                    WeiReport, check_axioms, conullity_table,
+                    ResidueDuality, Subspace, SubspaceLattice, Verdict,
+                    WeightProfile, WeiReport, check_axioms, conullity_table,
                     enumerate_subspaces, field, generalized_weights,
                     intersection_demipolymatroid, nullity_profiles,
                     nullity_table, residue_partition, sum_polymatroid,
@@ -371,6 +371,57 @@ def test_sum_polymatroid_examples(gf2):
         expect = sum(lat.dims[lat.meet_index(lat.index(b), i)]
                      for b in (e1, full))
         assert t.conullity_at(i) == expect
+
+
+def reference_sum_values(blocks, lat):
+    # sum_i dim C_i - dim(C_i & X_perp), read off the lattice meets
+    bidx = [lat.index(b) for b in blocks]
+    return tuple(sum(lat.dims[b] - lat.dims[lat.meet_index(b, c)] for b in bidx)
+                 for c in lat.complements)
+
+
+def reference_intersection_values(spaces, weights, lat):
+    # sum_i w_i * dim(V_i & J), read off the lattice meets
+    vidx = [lat.index(v) for v in spaces]
+    return tuple(sum(w * lat.dims[lat.meet_index(v, j)]
+                     for v, w in zip(vidx, weights))
+                 for j in range(len(lat)))
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 0), (2, 1, 1), (2, 1, 2), (2, 1, 3),
+                                   (2, 1, 4), (3, 1, 2), (3, 1, 3), (2, 2, 2),
+                                   (5, 1, 2)])
+def test_block_tables_match_the_meet_references(p, e, n):
+    # Both constructors sum 1-by-n code tables and never query pairs, so
+    # a fresh lattice gets no point masks from them.
+    f = field(p, e)
+    rng = random.Random(100 * p + 10 * e + n)
+    lat = SubspaceLattice(f, n)
+    cases = [[Subspace.zero(f, n)], [Subspace.full(f, n)],
+             [Subspace.zero(f, n), Subspace.full(f, n)]]
+    cases += [[lat[rng.randrange(len(lat))] for _ in range(rng.randrange(1, 5))]
+              for _ in range(12)]
+    got = []
+    for spaces in cases:
+        weights = [rng.randrange(1, 4) for _ in spaces]
+        got.append((spaces, weights, sum_polymatroid(spaces, lat),
+                    intersection_demipolymatroid(spaces, weights, lat)))
+    assert "masks" not in vars(lat)
+    for spaces, weights, blocks, inter in got:
+        assert blocks.m == len(spaces) and inter.m == sum(weights)
+        assert blocks.values == reference_sum_values(spaces, lat)
+        assert inter.values == reference_intersection_values(spaces, weights, lat)
+
+
+def test_block_tables_need_no_point_masks():
+    # N * L = 2056 * 2054 point-mask bits is past the mask guard, which
+    # the block tables no longer reach.
+    f = field(2053)
+    line = Subspace(f, 2, [[1, 5]])
+    t = sum_polymatroid([line, Subspace.full(f, 2)])
+    assert t.rank == 3 and t.m == 2 and len(t.values) == 2056
+    assert t.conullity(line) == 2
+    assert intersection_demipolymatroid([line], [1000]).rank == 1000
 
 
 def test_sum_polymatroid_ambient_mismatch(gf2, gf3):
