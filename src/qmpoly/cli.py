@@ -287,7 +287,7 @@ def build_report(kind: str, obj, label, table: PolymatroidTable,
         "dual_weights": list(wei.dual_weights.values),
     }
     if want_anticode:
-        report["a_weights"] = list(anticode_weights(obj).values)
+        report["a_weights"] = list(anticode_weights(obj, table).values)
     report["h"] = list(profiles.nullity)
     report["hstar"] = list(profiles.conullity)
     report["axioms"] = _axiom_obj(axioms, lat)

@@ -15,13 +15,12 @@ complement.
 from __future__ import annotations
 
 import random
-from bisect import insort
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import check_guard
 from .field import GF, _digits, _undigits, field
 from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
-from .matrix import Matrix, in_row_space
+from .matrix import Matrix, in_row_space, packed_rows
 from .polymatroid import (PolymatroidTable, WeightProfile, conullity_table,
                           generalized_weights)
 
@@ -73,6 +72,9 @@ class DelsarteCode:
         vecs = []
         for item in mats:
             if isinstance(item, Matrix):
+                if item.field != field:
+                    raise ValueError(
+                        f"generator over {item.field!r}, expected {field!r}")
                 if item.shape != (m, n):
                     raise ValueError(
                         f"generator of shape {item.shape}, expected {(m, n)}")
@@ -188,11 +190,17 @@ def subcode_dims(code: DelsarteCode,
       W(A + B) = W(A) + W(B).
 
     So W of each of the L points (lattice positions 1..L) is computed
-    and row-reduced once, and W of every other member is W(parent) with
-    the reduced rows of its last line merged in, in index order: L small
-    reductions and N short echelon inserts into a basis of at most k
-    vectors, stopped once the rank reaches k.  The full code has
-    dim C(X) = m*dim X and the zero code 0; neither needs any of this.
+    and row-reduced once, and its reduced rows are packed into one int
+    each (`matrix.PackedRows`).  W of every other member is W(parent)
+    with the packed rows of its last line merged in, in index order: N
+    short echelon inserts into a basis of at most k vectors, stopped
+    once the rank reaches k.  A merge subtracts packed rows (XOR in
+    characteristic 2, a slot-wise add for odd p) and finds each leading
+    coordinate by `int.bit_length`; it calls the field only to scale by
+    a factor other than 1, and keeps each multiple it makes.  A member
+    above a rank-k parent, or whose last line alone has rank k, has rank
+    k, so it is not merged at all.  The full code has dim C(X) = m*dim X
+    and the zero code 0; neither needs any of this.
     """
     if code.field != lattice.field or code.ncols != lattice.n:
         raise ValueError("lattice ambient does not match code columns")
@@ -209,45 +217,46 @@ def subcode_dims(code: DelsarteCode,
     gen_rows = Matrix(F, [vec[r * n:(r + 1) * n] for vec in code.basis
                           for r in range(m)], n)
     prod = Matrix(F, points, n) @ gen_rows.transpose()
-    lines: list[tuple] = [()]
+    packed = packed_rows(F, k)
+    pack, sub, scale = packed.pack, packed.sub, packed.scale
+    width, mask, elem = packed.width, packed.mask, packed.element_of
+    lines: list[tuple[int, ...]] = [()]
     for row in prod.rows:
         reduced, rank, _ = Matrix(F, [row[r::m] for r in range(m)], k).rref()
-        lines.append(reduced.rows[:rank])
-    # A member above a rank-k parent has rank k too, and its basis is
-    # never read, so only members below rank k get one.
-    bases: list[tuple] = [()] * len(lattice)
+        lines.append(tuple(map(pack, reduced.rows[:rank])))
+    # bases[i][j] is the row of member i's basis whose leading
+    # coordinate, a 1, sits in slot j; 0 when no row leads there.
+    # Members of rank k get no basis: none is read.
+    bases: list[list[int]] = [[0] * k] + [[]] * (len(lattice) - 1)
     ranks = [k] * len(lattice)
     ranks[0] = 0
+    multiples: dict[tuple[int, int], int] = {}
     for i, (parent, line) in enumerate(lattice.parents[1:], 1):
-        if ranks[parent] < k:
-            basis = bases[i] = _merge(F, bases[parent], lines[line], k)
-            ranks[i] = len(basis)
-    return tuple([k - ranks[c] for c in lattice.complements])
-
-
-def _merge(F: GF, basis: tuple, rows: tuple, k: int) -> tuple:
-    """An echelon basis of span(basis) + span(rows), in GF(q)^k; it
-    stops once it holds k vectors.
-
-    A basis is a tuple of (pivot, row) pairs in pivot order, each row 1
-    at its pivot and 0 before it; rows are reduced in that order, so no
-    step puts back an entry an earlier step cleared.
-    """
-    sub, mul = F.sub, F.mul
-    out = list(basis)
-    for v in rows:
-        for piv, b in out:
-            f = v[piv]
-            if f:
-                v = tuple([sub(x, mul(f, y)) if y else x
-                           for x, y in zip(v, b)])
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is not None:
-            inv = F.inv(v[lead])
-            insort(out, (lead, tuple([mul(inv, x) for x in v])))
-            if len(out) == k:
+        rank, new = ranks[parent], lines[line]
+        if rank == k or len(new) == k:
+            continue
+        basis = bases[parent][:]
+        for v in new:
+            while v:
+                j = (v.bit_length() - 1) // width
+                f = (v >> (j * width)) & mask
+                b = basis[j]
+                if not b:
+                    basis[j] = v if f == 1 else scale(F.inv(elem[f]), v)
+                    rank += 1
+                    break
+                if f != 1:
+                    fb = multiples.get((b, f))
+                    if fb is None:
+                        fb = multiples[b, f] = scale(elem[f], b)
+                    b = fb
+                v = sub(v, b)
+            if rank == k:
                 break
-    return tuple(out)
+        else:
+            bases[i] = basis
+        ranks[i] = rank
+    return tuple([k - ranks[c] for c in lattice.complements])
 
 
 def to_polymatroid(code: DelsarteCode,
@@ -293,7 +302,8 @@ def code_weights(code: DelsarteCode,
     return generalized_weights(to_polymatroid(code, lattice))
 
 
-def anticode_weights(code: DelsarteCode) -> WeightProfile:
+def anticode_weights(code: DelsarteCode,
+                     table: PolymatroidTable | None = None) -> WeightProfile:
     """Anticode-based weights, via the shape-dependent reduction:
 
       m > n : equal to the code's own weights
@@ -301,15 +311,20 @@ def anticode_weights(code: DelsarteCode) -> WeightProfile:
               min of the code's and its transpose's weights
       m < n : the transposed code's weights (computed on its own,
               wider-row side, where values range in 1..m)
+
+    `table` is the code's own table, built here when a shape needs it
+    and it is not given.
     """
     if code.dim == 0:
         raise ValueError("zero code has no weights")
     m, n = code.shape
-    if m > n:
-        return code_weights(code)
     if m < n:
         return code_weights(transpose_code(code))
-    return generalized_weights(transpose_min_polymatroid(code))
+    if table is None:
+        table = to_polymatroid(code)
+    if m == n:
+        table = _min_with_transpose(code, table)
+    return generalized_weights(table)
 
 
 def transpose_min_polymatroid(
@@ -321,10 +336,15 @@ def transpose_min_polymatroid(
     min of the two profiles."""
     if code.nrows != code.ncols:
         raise ValueError("defined for square matrix codes only")
-    t1 = to_polymatroid(code, lattice)
-    t2 = to_polymatroid(transpose_code(code), t1.lattice)
-    vals = [min(a, b) for a, b in zip(t1.values, t2.values)]
-    return PolymatroidTable(t1.lattice, code.nrows, vals)
+    return _min_with_transpose(code, to_polymatroid(code, lattice))
+
+
+def _min_with_transpose(code: DelsarteCode,
+                        table: PolymatroidTable) -> PolymatroidTable:
+    # `table` is the square code's own table.
+    other = to_polymatroid(transpose_code(code), table.lattice)
+    vals = [min(a, b) for a, b in zip(table.values, other.values)]
+    return PolymatroidTable(table.lattice, code.nrows, vals)
 
 
 def _block_table(spaces: Sequence[Subspace], weights: Sequence[int],
@@ -547,8 +567,9 @@ def anticode_gap_search(field: GF, size: int) -> GapCertificate | None:
         if member.dim == 0:
             continue
         code = DelsarteCode._of(member, size, size)
-        d = code_weights(code)
-        a = anticode_weights(code)
+        table = to_polymatroid(code)
+        d = generalized_weights(table)
+        a = anticode_weights(code, table)
         for r in range(1, code.dim + 1):
             if a.values[r - 1] < d.values[r - 1]:
                 return GapCertificate(code, r, a.values[r - 1], d.values[r - 1])

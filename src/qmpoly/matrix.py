@@ -1,10 +1,14 @@
-"""Immutable dense matrices over GF(q), and the exact row-space
-operations (echelon forms, containment, orthogonal complements) that
-the subspace lattice is built from."""
+"""Immutable dense matrices over GF(q), the exact row-space operations
+(echelon forms, containment, orthogonal complements) that the subspace
+lattice is built from, and vectors of GF(q)^k packed into one int each
+(`PackedRows`)."""
 
 from __future__ import annotations
 
-from .field import GF
+import operator
+from functools import lru_cache
+
+from .field import GF, _digits
 
 
 class Matrix:
@@ -251,3 +255,87 @@ def trace_product(a: Matrix, b: Matrix) -> int:
             if x and y:
                 acc = F.add(acc, F.mul(x, y))
     return acc
+
+
+class PackedRows:
+    """Vectors of GF(p^e)^k, each held as one int.
+
+    Coordinate j sits in slot k-1-j of `width` bits, so coordinate 0 is
+    the highest slot, and the first non-zero coordinate is in slot
+    (x.bit_length() - 1) // width.  A slot holds the e base-p digits of
+    the element, lowest first, in fields of equal width; `element_of`
+    maps a slot's bits back to the element.
+
+    - Characteristic 2: a field is one bit, so a slot is the element's
+      encoding as it stands, and `add` and `sub` are XOR, for every e.
+    - Odd p: a field has one bit more than p, room for the sum of two
+      digits.  `add` and `sub` add all fields at once, then subtract p
+      from each field that reached p (SWAR, "SIMD within a register"):
+      adding 2^(bits - 1) - p to a field of `bits` bits sets its top
+      bit exactly when it holds p or more.
+
+    `scale` multiplies through `GF` coordinate by coordinate; it is the
+    one operation that calls the field.  One instance per (field, k):
+    `packed_rows`.
+    """
+
+    __slots__ = ("field", "width", "mask", "add", "sub", "element_of",
+                 "_slot", "_shifts")
+
+    def __init__(self, F: GF, k: int):
+        p, e = F.p, F.e
+        digit = 1 if p == 2 else p.bit_length() + 1
+        self.field = F
+        self.width = width = e * digit
+        self.mask = (1 << width) - 1
+        self._slot = [sum(d << (i * digit) for i, d in enumerate(_digits(a, p, e)))
+                      for a in range(F.q)]
+        self.element_of = {s: a for a, s in enumerate(self._slot)}
+        self._shifts = tuple(width * (k - 1 - j) for j in range(k))
+        if p == 2:
+            self.add = self.sub = operator.xor
+            return
+        ones = sum(1 << (i * digit) for i in range(e * k))
+        top = digit - 1
+        all_p = p * ones
+        offset = ((1 << top) - p) * ones
+        tops = ones << top
+
+        # Every field of s holds at most 2p - 1, so s + offset is below
+        # 2^top + p - 1 < 2^digit and carries into no other field.
+        def add(a: int, b: int) -> int:
+            s = a + b
+            g = (s + offset) & tops
+            return s - (all_p & (g - (g >> top)))
+
+        def sub(a: int, b: int) -> int:
+            s = a + all_p - b
+            g = (s + offset) & tops
+            return s - (all_p & (g - (g >> top)))
+
+        self.add = add
+        self.sub = sub
+
+    def pack(self, vec) -> int:
+        slot, width = self._slot, self.width
+        x = 0
+        for v in vec:
+            x = (x << width) | slot[v]
+        return x
+
+    def unpack(self, x: int) -> list[int]:
+        elem, mask = self.element_of, self.mask
+        return [elem[(x >> s) & mask] for s in self._shifts]
+
+    def scale(self, f: int, x: int) -> int:
+        """f times x; x itself when f is 1."""
+        if f == 1:
+            return x
+        mul = self.field.mul
+        return self.pack([mul(f, v) for v in self.unpack(x)])
+
+
+@lru_cache(maxsize=None)
+def packed_rows(F: GF, k: int) -> PackedRows:
+    """The shared `PackedRows` of GF(q)^k."""
+    return PackedRows(F, k)

@@ -402,6 +402,30 @@ def test_verify_flag_duality_builds_each_table_once(tmp_path, capsys,
         assert len(calls) == 2 * s
 
 
+@pytest.mark.parametrize("m, n, tables", [(3, 3, 2), (3, 2, 1), (2, 3, 2)])
+def test_weights_anticode_reuses_the_report_table(tmp_path, capsys,
+                                                  monkeypatch, gf2, m, n,
+                                                  tables):
+    # the code's table is built once for the report; --anticode adds
+    # only the transpose's table where the shape needs it
+    calls = []
+    dims = qmpoly.delsarte.subcode_dims
+
+    def counting(code, lattice):
+        calls.append(code.shape)
+        return dims(code, lattice)
+    monkeypatch.setattr(qmpoly.delsarte, "subcode_dims", counting)
+    code = qmpoly.random_code(gf2, m, n, 4, random.Random(m * n))
+    path = tmp_path / "code.json"
+    path.write_text(dump_code_lines([code]))
+    status, out, _ = run(capsys, "weights", str(path), "--format", "json",
+                         "--anticode")
+    assert status == EXIT_OK
+    assert len(calls) == tables
+    assert json.loads(out)["a_weights"] == list(
+        qmpoly.anticode_weights(code).values)
+
+
 def test_weights_of_a_high_rank_table_are_linear_in_the_rank(tmp_path, capsys):
     # rank K = 200000 in m = 512 residue classes: the Wei report buckets
     # each weight profile once, where a scan per class costs m*K steps

@@ -113,7 +113,8 @@ def reference_subcode_dims(code, lat):
 
 @pytest.mark.parametrize("p,e,m,n", [(2, 1, 2, 5), (2, 1, 4, 3), (2, 1, 1, 4),
                                      (3, 1, 2, 3), (2, 2, 2, 3), (5, 1, 3, 2),
-                                     (3, 2, 2, 2)])
+                                     (3, 2, 2, 2), (2, 3, 2, 3), (3, 3, 2, 2),
+                                     (5, 2, 2, 2), (2053, 1, 2, 2)])
 def test_subcode_dims_match_the_per_member_formula(p, e, m, n):
     # k below, at and above m, and the zero and full codes
     f = field(p, e)
@@ -140,6 +141,39 @@ def test_subcode_dims_row_reduces_once_per_point(gf2, monkeypatch):
     calls.clear()
     subcode_dims(code, lat)
     assert 0 < len(calls) <= 31
+
+
+def test_subcode_dims_merges_make_no_field_calls(gf2, monkeypatch):
+    # over GF(2) every merge factor is 1, so the packed merges only XOR:
+    # the field is called for the product and the per-point reductions
+    lat = enumerate_subspaces(gf2, 6)
+    lat.parents
+    code = random_code(gf2, 3, 6, 7, random.Random(6))
+    depth = [0]
+    inside, outside = [], []
+
+    def kernel(fn):
+        def wrapper(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def counted(fn):
+        def wrapper(*args):
+            (inside if depth[0] else outside).append(fn.__name__)
+            return fn(*args)
+        return wrapper
+    for name in ("rref", "__matmul__"):
+        monkeypatch.setattr(Matrix, name, kernel(getattr(Matrix, name)))
+    for name in ("add", "sub", "mul"):
+        monkeypatch.setattr(type(gf2), name, counted(getattr(type(gf2), name)))
+    dims = subcode_dims(code, lat)
+    assert inside and not outside
+    monkeypatch.undo()
+    assert dims == reference_subcode_dims(code, lat)
 
 
 def test_gabidulin_231_is_uniform(gf2):
@@ -261,6 +295,7 @@ def test_anticode_weights_tall_shapes_match(gf2):
     for _ in range(8):
         c = random_code(gf2, 3, 2, rng.randrange(1, 6), rng)
         assert anticode_weights(c) == code_weights(c)
+        assert anticode_weights(c, to_polymatroid(c)) == code_weights(c)
 
 
 def test_anticode_weights_square_bounded_by_support_weights(gf2):
@@ -283,8 +318,10 @@ def test_square_anticode_weights_are_the_min_of_both_profiles(p, e):
         for _ in range(4):
             c = random_code(f, size, size, rng.randrange(1, size * size), rng)
             a, b = code_weights(c), code_weights(transpose_code(c))
-            assert anticode_weights(c) == WeightProfile(
+            expected = WeightProfile(
                 c.dim, tuple(min(x, y) for x, y in zip(a.values, b.values)))
+            assert anticode_weights(c) == expected
+            assert anticode_weights(c, to_polymatroid(c)) == expected
 
 
 def test_anticode_weights_wide_shapes_use_transpose(gf2):
@@ -364,6 +401,15 @@ def test_from_generators_requires_independence(gf2):
         DelsarteCode.from_generators(gf2, 2, 2, [g, g])
     c = DelsarteCode.from_generators(gf2, 2, 2, [g])
     assert c.dim == 1
+
+
+def test_generators_must_be_over_the_code_field(gf2, gf3):
+    # a GF(3) identity has entries in range for GF(2), but another field
+    ident = Matrix.identity(gf3, 2)
+    for build in (DelsarteCode.span, DelsarteCode.from_generators):
+        with pytest.raises(ValueError, match="generator over GF"):
+            build(gf2, 2, 2, [ident])
+    assert DelsarteCode.span(gf3, 2, 2, [ident]).dim == 1
 
 
 def test_random_code_determinism_and_uniform_touch(gf2):

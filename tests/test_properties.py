@@ -1,6 +1,6 @@
 """Property tests of the input parser, the CLI, the weight scan, table
-duality, the lattice's pair operations and canonical bases on generated
-inputs.
+duality, the lattice's pair operations, canonical bases and packed rows
+on generated inputs.
 
 Examples are derandomized, so every run draws the same inputs.  Sizes
 stay small: the explicit reproductions in test_cli.py own the timing
@@ -23,6 +23,7 @@ from qmpoly import (DelsarteCode, Matrix, PolymatroidTable, Subspace, WeiReport,
 from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
                         InputError, load_input, main)
 from qmpoly.errors import GuardExceeded
+from qmpoly.matrix import packed_rows
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -327,3 +328,39 @@ def test_codes_and_subspaces_reduce_spanning_rows_to_one_canonical_basis(case):
     assert code.basis == basis
     assert code == spanned and hash(code) == hash(spanned)
     assert code.is_subcode_of(spanned) and spanned.is_subcode_of(code)
+
+
+# Every slot layout of `PackedRows`: XOR with e = 1 and e > 1, the
+# slot-wise add with e = 1 and e > 1, and a 13-bit digit field.
+PACKED_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                 (5, 1), (5, 2), (7, 1), (2053, 1)]
+
+
+@st.composite
+def packed_cases(draw):
+    """A field, a length k, two vectors of GF(q)^k and a scalar, with
+    0, 1 and q - 1 drawn often."""
+    f = field(*draw(st.sampled_from(PACKED_FIELDS)))
+    k = draw(st.integers(0, 7))
+    entry = st.sampled_from([0, 1, f.q - 1]) | st.integers(0, f.q - 1)
+    vec = st.lists(entry, min_size=k, max_size=k)
+    return f, k, draw(vec), draw(vec), draw(entry)
+
+
+@SETTINGS
+@given(packed_cases())
+def test_packed_rows_agree_with_the_field_coordinate_by_coordinate(case):
+    # The packed results must equal the packing of the per-coordinate
+    # field results as ints, not only after unpacking: the merges key
+    # their caches by packed rows and read leads off the bit length.
+    f, k, a, b, s = case
+    rows = packed_rows(f, k)
+    x, y = rows.pack(a), rows.pack(b)
+    assert rows.unpack(x) == a
+    # coordinate 0 is the highest slot: the bit length finds the lead
+    lead = next((j for j, v in enumerate(a) if v), k)
+    assert (x.bit_length() - 1) // rows.width == k - 1 - lead
+    assert rows.add(x, y) == rows.pack([f.add(u, v) for u, v in zip(a, b)])
+    assert rows.sub(x, y) == rows.pack([f.sub(u, v) for u, v in zip(a, b)])
+    assert rows.sub(x, x) == 0
+    assert rows.scale(s, x) == rows.pack([f.mul(s, u) for u in a])
