@@ -19,16 +19,21 @@ status lies outside 0-4.
 
 A resource guard exits 3 with one "guard exceeded:" line naming the
 resource, the size needed and the limit.  The subspace lattice guard
-(10^6 members) is raised by --max-lattice or QMPOLY_MAX_LATTICE; the
-guards on the field order (2^16, checked before p is tested for
-primality), the matrix space dimension (m*n of a code line, m*max(n, 1)
-of a table line, 2^10) and the axiom pairs (N^2 for N lattice members,
-10^6) are fixed.
+(10^6 members) is raised by --max-lattice or QMPOLY_MAX_LATTICE, which
+must be >= 0.  The other guards are fixed: the field order (2^16,
+checked before p is tested for primality), the matrix space dimension
+(m*n of a code line, m*max(n, 1) of a table line, 2^10), the lattice
+point-mask bits (N*L for N members and L points, 2^22; it stops
+GF(3)^6, GF(2)^8 and GF(q)^2 for q >= 2048) and the axiom pairs (N^2,
+10^6).  The axiom scans run over covers and length-2 intervals, so the
+axiom-pair guard bounds only the ordered pair scan that finds the first
+witness of a table failing R3.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -539,15 +544,24 @@ def cmd_gen(args) -> int:
 def _lattice_guard(args) -> int:
     """--max-lattice, else QMPOLY_MAX_LATTICE, else the library default."""
     if args.max_lattice is not None:
+        if args.max_lattice < 0:
+            raise InputError(f"--max-lattice: {args.max_lattice} must be >= 0")
         return args.max_lattice
     raw = os.environ.get(GUARD_ENV, str(DEFAULT_SUBSPACE_GUARD))
     try:
-        return int(raw)
+        guard = int(raw)
     except ValueError:
         raise InputError(f"{GUARD_ENV}={raw!r} is not an integer") from None
+    if guard < 0:
+        raise InputError(f"{GUARD_ENV}={raw!r} must be >= 0")
+    return guard
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process, since building it
+    took about a quarter of a small in-process `verify`; parsing reads
+    it and leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="qmpoly",
         description="Generalized weights and duality checks for rank-metric "

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -234,15 +235,21 @@ def test_weights_lattice_guard(tmp_path, capsys):
             assert qmpoly.lattice_size(qmpoly.field(p), n).bit_length() > bits
 
 
+def r3_failing_gf2_6_table():
+    """rho = dim on GF(2)^6 with the first point lowered to 0: every
+    plane through that point is a length-2 interval that fails R3."""
+    vals = list(qmpoly.enumerate_subspaces(qmpoly.field(2), 6).dims)
+    vals[1] = 0
+    return {"kind": "table", "p": 2, "e": 1, "n": 6, "m": 1, "values": vals}
+
+
 def test_fixed_guards_name_resource_and_limit(tmp_path, capsys):
     path = tmp_path / "code.json"
     cases = [
         ({"p": 65537, "e": 1, "m": 1, "n": 1, "generators": []},
          "field order", 65537, 65536),
-        ({"p": 2, "e": 1, "m": 1, "n": 6, "generators": [[[1, 0, 0, 0, 0, 0]]]},
-         "axiom pairs", 2825 ** 2, 10 ** 6),
-        ({"p": 5, "e": 1, "m": 1, "n": 4, "generators": [[[1, 0, 0, 0]]]},
-         "axiom pairs", 1120 ** 2, 10 ** 6),
+        # the ordered pair scan for the first R3 witness
+        (r3_failing_gf2_6_table(), "axiom pairs", 2825 ** 2, 10 ** 6),
     ]
     for obj, resource, needed, limit in cases:
         path.write_text(json.dumps(obj) + "\n")
@@ -270,6 +277,27 @@ def test_fixed_guards_name_resource_and_limit(tmp_path, capsys):
         assert code == EXIT_GUARD and out == ""
         assert guard_line(err, "field order", needed, 65536).endswith(
             "this limit is fixed\n")
+
+
+def test_codes_past_the_pair_guard_get_exact_reports(tmp_path, capsys):
+    # N^2 axiom pairs is past 10^6 on both lattices (2,825 and 1,120
+    # members); the local scans need no pair scan for a polymatroid.
+    path = tmp_path / "code.json"
+    for obj, dual_weights, h in [
+            ({"p": 2, "e": 1, "m": 1, "n": 6,
+              "generators": [[[1, 0, 0, 0, 0, 0]]]},
+             [1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5, 5]),
+            ({"p": 5, "e": 1, "m": 1, "n": 4, "generators": [[[1, 0, 0, 0]]]},
+             [1, 2, 3], [0, 1, 2, 3, 3])]:
+        path.write_text(json.dumps(obj) + "\n")
+        code, out, err = run(capsys, "weights", str(path), "--format", "json")
+        assert code == EXIT_OK and err == ""
+        rep = json.loads(out)
+        assert rep["K"] == 1 and rep["weights"] == [1]
+        assert rep["dual_weights"] == dual_weights
+        assert rep["h"] == h and rep["hstar"] == [0] + [1] * obj["n"]
+        assert rep["axioms"]["verdict"] == "POLYMATROID"
+        assert rep["wei"]["partition_ok"]
 
 
 def test_matrix_space_guard_stops_tiny_inputs(tmp_path, capsys):
@@ -553,6 +581,44 @@ def test_guard_env_override(tmp_path, capsys, monkeypatch):
     assert guard_line(err, "subspace lattice members", 5, 2).endswith(LATTICE_KNOBS)
     code, _, _ = run(capsys, "weights", str(path), "--max-lattice", "100")
     assert code == EXIT_OK
+
+
+def test_negative_lattice_guard_is_an_input_error(tmp_path, capsys, monkeypatch):
+    path = gen_gabidulin(tmp_path, capsys)
+    for command in ("weights", "verify"):
+        code, out, err = run(capsys, command, str(path), "--max-lattice", "-1")
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: --max-lattice: -1 must be >= 0\n"
+    monkeypatch.setenv("QMPOLY_MAX_LATTICE", "-1")
+    code, out, err = run(capsys, "weights", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert err == "error: QMPOLY_MAX_LATTICE='-1' must be >= 0\n"
+    # the flag still wins over the variable
+    code, _, _ = run(capsys, "weights", str(path), "--max-lattice", "100")
+    assert code == EXIT_OK
+
+
+def test_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    path = gen_gabidulin(tmp_path, capsys)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    qmpoly.cli.build_parser.cache_clear()
+    argv = ["verify", str(path), "--format", "json"]
+    first = run(capsys, *argv)
+    assert built.count("qmpoly") == 1
+    # a call that argparse rejects leaves the parser as it was
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path), "--trials", "many"])
+    assert exc.value.code == EXIT_INPUT
+    assert "--trials" in capsys.readouterr().err
+    second = run(capsys, *argv)
+    assert built.count("qmpoly") == 1
+    assert first == second and first[0] == EXIT_OK
 
 
 def test_weights_text_format(tmp_path, capsys):
