@@ -23,11 +23,13 @@ resource, the size needed and the limit.  The subspace lattice guard
 must be >= 0.  The other guards are fixed: the field order (2^16,
 checked before p is tested for primality), the matrix space dimension
 (m*n of a code line, m*max(n, 1) of a table line, 2^10), the lattice
-point-mask bits (N*L for N members and L points, 2^22; it stops
-GF(3)^6, GF(2)^8 and GF(q)^2 for q >= 2048) and the axiom pairs (N^2,
-10^6).  The axiom scans run over covers and length-2 intervals, so the
+point-mask bits (N*L for N members and L points, 2^22, checked before
+enumeration by every command that will scan the axioms; it stops
+GF(3)^6, GF(2)^8 and GF(q)^2 for q >= 2048) and the axiom pairs (10^6).
+The axiom scans run over covers and length-2 intervals, so the
 axiom-pair guard bounds only the ordered pair scan that finds the first
-witness of a table failing R3.
+witness of a table failing R3: (y1 + 1)*N pairs, y1 the smaller middle
+of the first failing length-2 interval found.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import os
 import random
 import signal
 import sys
+from typing import NamedTuple
 
 from .delsarte import (DelsarteCode, anticode_weights, gabidulin,
                        random_code, support_space, to_polymatroid)
@@ -46,6 +49,7 @@ from .errors import GuardExceeded, check_guard
 from .field import GF, check_order, field, is_prime
 from .flags import Flag, flag_polymatroid, random_flag, verify_flag_duality
 from .lattice import (DEFAULT_SUBSPACE_GUARD, LATTICE_MEMBERS, Subspace,
+                      check_mask_bits, checked_lattice_size,
                       enumerate_subspaces)
 from .matrix import Matrix
 from .polymatroid import (PolymatroidTable, check_axioms, nullity_profiles,
@@ -171,7 +175,15 @@ def parse_code_obj(obj: dict) -> tuple[DelsarteCode, str | None]:
     return code, label
 
 
-def parse_table_obj(obj: dict, guard: int) -> PolymatroidTable:
+class TableLine(NamedTuple):
+    """A parsed table line; `_table_of` enumerates its lattice, as it
+    does a code's or a flag's."""
+    field: GF
+    shape: tuple[int, int]  # (m, n), as a code's
+    values: list[int]
+
+
+def parse_table_obj(obj: dict, guard: int) -> TableLine:
     f = parse_field(obj)
     n = _require(obj, "n", int)
     m = _require(obj, "m", int)
@@ -181,18 +193,18 @@ def parse_table_obj(obj: dict, guard: int) -> PolymatroidTable:
         raise InputError("field 'm' must be >= 1")
     check_guard(MATRIX_SPACE, m * max(n, 1), MAX_MATRIX_SPACE)
     values = _require(obj, "values", list)
-    lat = enumerate_subspaces(f, n, guard)
-    if len(values) != len(lat):
+    size = checked_lattice_size(f, n, guard)
+    if len(values) != size:
         raise InputError(
-            f"field 'values': {len(values)} entries for a lattice of {len(lat)}")
+            f"field 'values': {len(values)} entries for a lattice of {size}")
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
         raise InputError("field 'values' must hold integers")
-    return PolymatroidTable(lat, m, values)
+    return TableLine(f, (m, n), values)
 
 
 def load_input(path: str, guard: int):
     """Returns ("code", code, label), ("flag", flag, labels) or
-    ("table", table, None)."""
+    ("table", table line, None)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().splitlines() if ln.strip()]
@@ -327,11 +339,20 @@ def _print_text_report(rep: dict, out) -> None:
 # -- commands ----------------------------------------------------------
 
 
+def _check_point_masks(obj, guard: int) -> None:
+    """The point-mask guard of a parsed input's lattice, for a command
+    that will scan the axioms: checked before enumeration, where the
+    first pair query of the scan would check it only after the lattice
+    and the table are built.  The member guard comes first."""
+    f, n = obj.field, obj.shape[1]
+    check_mask_bits(f, n, checked_lattice_size(f, n, guard))
+
+
 def _table_of(kind: str, obj, guard: int) -> PolymatroidTable:
     """The rank table of a parsed input, on its lattice."""
-    if kind == "table":
-        return obj
     lat = enumerate_subspaces(obj.field, obj.shape[1], guard)
+    if kind == "table":
+        return PolymatroidTable(lat, obj.shape[0], obj.values)
     return (to_polymatroid if kind == "code" else flag_polymatroid)(obj, lat)
 
 
@@ -344,6 +365,7 @@ def cmd_weights(args) -> int:
         raise InputError("empty code has no weights")
     if kind == "flag" and obj.rank == 0:
         raise InputError("rank-zero flag has no weights")
+    _check_point_masks(obj, guard)
     table = _table_of(kind, obj, guard)
     if isinstance(label, list):
         label = ", ".join(l for l in label if l) or None
@@ -437,6 +459,8 @@ def cmd_verify(args) -> int:
 
     if args.input is not None:
         kind, obj, _ = load_input(args.input, guard)
+        if "axioms" in checks:
+            _check_point_masks(obj, guard)
         _verify_one(kind, obj, _table_of(kind, obj, guard), checks,
                     failures, infos)
     else:

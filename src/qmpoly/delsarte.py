@@ -18,9 +18,9 @@ import random
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import check_guard
-from .field import GF, _digits, _undigits, field
+from .field import GF, _digits, field
 from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
-from .matrix import Matrix, in_row_space, packed_rows
+from .matrix import Matrix, in_row_space, packed_rows, rref_rows
 from .polymatroid import (PolymatroidTable, WeightProfile, conullity_table,
                           generalized_weights)
 
@@ -393,74 +393,42 @@ def intersection_demipolymatroid(
 # -- Gabidulin construction -------------------------------------------
 
 
-def _subfield_embedding(base: GF, ext: GF):
-    """Embedding of GF(q) into GF(q^m) as a field map.
+def _combinations(ext: GF, scalars: Sequence[int],
+                  gens: Sequence[int]) -> list[int]:
+    """Every sum_t scalars[c_t] * gens[t] in the field ext, listed at
+    position sum_t c_t s^t for s = len(scalars): one walk over the
+    sums, a generator at a time."""
+    sums = [0]
+    for g in gens:
+        scaled = [ext.mul(a, g) for a in scalars]
+        sums = [ext.add(z, b) for b in scaled for z in sums]
+    return sums
+
+
+def _subfield_embedding(base: GF, ext: GF) -> list[int]:
+    """The images in GF(q^m) of the q elements of GF(q), by encoding.
 
     For prime q the constants already agree.  Otherwise the base
     modulus has a root in the extension; the smallest such root (by
-    encoding) fixes a deterministic embedding.
+    encoding) fixes a deterministic embedding, which sends
+    sum_d a_d x^d to sum_d a_d root^d.  The roots lie in the subfield
+    of order q, whose non-zero elements are the ((Q-1)/(q-1))-th powers
+    of the extension's primitive element (`GF._exp` lists its powers),
+    so only those q - 1 are tried.
     """
     if base.e == 1:
-        return lambda a: a
-    coeffs = base.modulus
-    for z in ext.elements():
+        return list(range(base.q))
+    roots = []
+    for z in ext._exp[::(ext.q - 1) // (base.q - 1)]:
         acc = 0
-        for c in reversed(coeffs):
+        for c in reversed(base.modulus):
             acc = ext.add(ext.mul(acc, z), c)
         if acc == 0:
-            root = z
-            break
-    else:
-        raise AssertionError("base modulus has no root in the extension")
+            roots.append(z)
     powers = [1]
     for _ in range(base.e - 1):
-        powers.append(ext.mul(powers[-1], root))
-
-    def embed(a: int) -> int:
-        out = 0
-        for d, pw in zip(_digits(a, base.p, base.e), powers):
-            if d:
-                out = ext.add(out, ext.mul(d, pw))
-        return out
-
-    return embed
-
-
-def _expansion_map(base: GF, ext: GF, basis: Sequence[int]):
-    """Coordinates over the base field w.r.t. a basis of the extension.
-
-    Returns a callable mapping an extension element to the tuple of m
-    base-field encodings c_t with z = sum_t c_t * basis[t].
-    """
-    m = len(basis)
-    if base.e == 1:
-        # digits of the encoding are exactly the power-basis coordinates
-        return lambda z: tuple(_digits(z, base.p, m))
-    embed = _subfield_embedding(base, ext)
-    prime = GF(base.p)
-    em = base.e * m
-    cols = []
-    for t in range(m):
-        for d in range(base.e):
-            elt = ext.mul(embed(base.p ** d), basis[t])
-            cols.append(_digits(elt, base.p, em))
-    # column (t*e + d) holds the digits of basis[t] * root^d
-    mat = Matrix(prime, [[cols[c][r] for c in range(em)] for r in range(em)], em)
-    inv = mat.inverse()
-
-    def expand(z: int) -> tuple[int, ...]:
-        digs = _digits(z, base.p, em)
-        coords = []
-        for r in range(em):
-            acc = 0
-            for c, d in enumerate(digs):
-                if d:
-                    acc = prime.add(acc, prime.mul(inv.rows[r][c], d))
-            coords.append(acc)
-        return tuple(_undigits(coords[t * base.e:(t + 1) * base.e], base.p)
-                     for t in range(m))
-
-    return expand
+        powers.append(ext.mul(powers[-1], min(roots)))
+    return _combinations(ext, range(base.p), powers)
 
 
 def gabidulin(base: GF, m: int, n: int, k: int) -> DelsarteCode:
@@ -473,31 +441,32 @@ def gabidulin(base: GF, m: int, n: int, k: int) -> DelsarteCode:
     that same basis into a column.  The basis and evaluation points are
     fixed by the deterministic modulus, so the output is reproducible.
     Dimension is m*k and the minimum rank distance is n - k + 1.
+
+    The coordinates (c_0, ..., c_{m-1}) over GF(q) of every element
+    z = sum_t embed(c_t) alpha^t come from one walk over those sums:
+    `position[z]` is sum_t c_t q^t, whose base-q digits they are.
     """
     if not 1 <= k <= n <= m:
         raise ValueError(
             f"need 1 <= k <= n <= m, got k={k}, n={n}, m={m}")
     q = base.q
     ext = field(base.p, base.e * m)
-    if m == 1:
-        basis = [1]
-    else:
-        alpha = base.p  # encoding of the polynomial x
-        basis = [1]
-        for _ in range(m - 1):
-            basis.append(ext.mul(basis[-1], alpha))
-    expand = _expansion_map(base, ext, basis)
-    gens = []
+    basis = [1]
+    for _ in range(m - 1):
+        basis.append(ext.mul(basis[-1], base.p))  # p encodes the polynomial x
+    position = [0] * ext.q
+    for i, z in enumerate(_combinations(ext, _subfield_embedding(base, ext),
+                                        basis)):
+        position[z] = i
+    rows = []
     for i in range(k):
-        qi = q ** i
-        evals = [ext.pow(g, qi) for g in basis[:n]]
-        for t in range(m):
-            cols = [expand(ext.mul(basis[t], ev)) for ev in evals]
-            rows = [[cols[j][r] for j in range(n)] for r in range(m)]
-            gens.append(Matrix(base, rows, n))
-    code = DelsarteCode.span(base, m, n, gens)
-    assert code.dim == m * k, "evaluation map lost rank"
-    return code
+        evals = [ext.pow(g, q ** i) for g in basis[:n]]
+        for b in basis:
+            cols = [_digits(position[ext.mul(b, ev)], q, m) for ev in evals]
+            rows.append([c[r] for r in range(m) for c in cols])
+    space = Subspace._reduce(base, m * n, rows)
+    assert space.dim == m * k, "evaluation map lost rank"
+    return DelsarteCode._of(space, m, n)
 
 
 # -- distance and MRD -------------------------------------------------
@@ -505,24 +474,25 @@ def gabidulin(base: GF, m: int, n: int, k: int) -> DelsarteCode:
 
 def min_rank_distance(code: DelsarteCode,
                       guard: int = DEFAULT_CODEWORD_GUARD) -> int:
-    """Minimum rank over all nonzero codewords, by full enumeration."""
+    """Minimum rank over all nonzero codewords, by full enumeration;
+    each codeword's rank is one `rref_rows` elimination of its m rows."""
     k = code.dim
     if k == 0:
         raise ValueError("zero code has no distance")
     q = code.field.q
     count = q ** k - 1
     check_guard("nonzero codewords", count, guard)
-    F = code.field
+    F, m, n = code.field, code.nrows, code.ncols
     rows = code.basis
     width = code.ambient_dim
-    best = min(code.ncols, code.nrows)
+    best = min(m, n)
     for enc in range(1, count + 1):
         coeffs = _digits(enc, q, k)
         vec = [0] * width
         for c, row in zip(coeffs, rows):
             if c:
                 vec = [F.add(v, F.mul(c, r)) for v, r in zip(vec, row)]
-        rank = devectorize(F, code.nrows, code.ncols, vec).rank()
+        rank = rref_rows(F, [vec[r * n:(r + 1) * n] for r in range(m)], n)[1]
         if rank < best:
             best = rank
             if best == 1:
@@ -583,9 +553,9 @@ def random_code(field: GF, m: int, n: int, k: int,
                 rng: random.Random) -> DelsarteCode:
     """Uniformly random k-dimensional code of shape m x n.
 
-    Rejection-samples a full-rank k x (m*n) matrix; every subspace has
-    the same number of such generator matrices, so canonicalizing the
-    row space samples uniformly.
+    Rejection-samples k rows of length m*n until they are independent;
+    every subspace has the same number of such bases, so canonicalizing
+    the row space samples uniformly.
     """
     if not 0 <= k <= m * n:
         raise ValueError(f"dimension {k} outside 0..{m * n}")
@@ -595,9 +565,9 @@ def random_code(field: GF, m: int, n: int, k: int,
     q = field.q
     while True:
         rows = [[rng.randrange(q) for _ in range(width)] for _ in range(k)]
-        mat = Matrix(field, rows, width)
-        if mat.rank() == k:
-            return DelsarteCode(field, m, n, mat)
+        space = Subspace._reduce(field, width, rows)
+        if space.dim == k:
+            return DelsarteCode._of(space, m, n)
 
 
 def random_subcode(code: DelsarteCode, k: int,

@@ -74,6 +74,13 @@ class Subspace:
         return s
 
     @classmethod
+    def _reduce(cls, field: GF, n: int, rows) -> Subspace:
+        # Trusted path for spanning rows built internally: one
+        # `rref_rows` elimination, with no `Matrix` and no validation.
+        reduced, rank, _ = rref_rows(field, [list(r) for r in rows], n)
+        return cls._from_rref(field, n, tuple(map(tuple, reduced[:rank])))
+
+    @classmethod
     def zero(cls, field: GF, n: int) -> Subspace:
         return cls._from_rref(field, n, ())
 
@@ -224,8 +231,7 @@ class SubspaceLattice:
         b of X_perp.
         """
         members, c, dims, n = self.members, self.complements, self.dims, self.n
-        n_points = gaussian_binomial(n, 1, self.field.q)
-        check_guard(MASK_BITS, len(members) * n_points, MAX_MASK_BITS)
+        n_points = check_mask_bits(self.field, n, len(members))
         masks = [0] * len(members)
         for p in range(1, n_points + 1):
             masks[p] = 1 << (p - 1)
@@ -301,24 +307,44 @@ def lattice_size(field: GF, n: int) -> int:
     return cur
 
 
+def checked_lattice_size(field: GF, n: int, guard: int) -> int:
+    """The number of subspaces of GF(q)^n, once it passes the member
+    guard, which is checked in bounded time.
+
+    The count is at least 2^bits, bits = (bitlen(q) - 1) a (n - a) with
+    a = n // 2, as GF(q)^n has at least q^(a(n-a)) subspaces of
+    dimension a.  A 2^bits over the guard and over 64 bits (so reported
+    as "at least 2^bits") fails the call without the exact count, which
+    costs seconds at q = 65521, n = 1024; otherwise the exact count
+    decides.
+    """
+    bits = (field.q.bit_length() - 1) * (n // 2) * (n - n // 2)
+    if bits >= max(64, guard.bit_length()):
+        check_guard(LATTICE_MEMBERS, 1 << bits, guard)
+    size = lattice_size(field, n)
+    check_guard(LATTICE_MEMBERS, size, guard)
+    return size
+
+
+def check_mask_bits(field: GF, n: int, members: int) -> int:
+    """The point-mask guard on N*L bits, for the N `members` and the L
+    points of GF(q)^n; returns L.  `SubspaceLattice.masks` checks it
+    before its build, and the command before it enumerates a lattice
+    whose axioms it will scan."""
+    n_points = gaussian_binomial(n, 1, field.q)
+    check_guard(MASK_BITS, members * n_points, MAX_MASK_BITS)
+    return n_points
+
+
 def enumerate_subspaces(field: GF, n: int,
                         guard: int | None = None) -> SubspaceLattice:
-    """Build (or fetch) the full subspace lattice of GF(q)^n.
-
-    The member count is checked against the guard before enumeration.
-    It is at least 2^bits, bits = (bitlen(q) - 1) a (n - a) with a = n // 2,
-    as GF(q)^n has at least q^(a(n-a)) subspaces of dimension a.  A
-    2^bits over the guard and over 64 bits (so reported as "at least
-    2^bits") fails the call without the exact count, which costs
-    seconds at q = 65521, n = 1024; otherwise the exact count decides.
-    """
+    """Build (or fetch) the full subspace lattice of GF(q)^n; the
+    member count is checked against the guard before enumeration
+    (`checked_lattice_size`)."""
     if n < 0:
         raise ValueError("ambient dimension must be nonnegative")
-    if guard is None:
-        guard = DEFAULT_SUBSPACE_GUARD
-    bits = (field.q.bit_length() - 1) * (n // 2) * (n - n // 2)
-    check_guard(LATTICE_MEMBERS, 1 << bits if bits >= max(64, guard.bit_length())
-                else lattice_size(field, n), guard)
+    checked_lattice_size(
+        field, n, DEFAULT_SUBSPACE_GUARD if guard is None else guard)
     key = (field.p, field.e, n)
     lat = _lattice_cache.get(key)
     if lat is None:

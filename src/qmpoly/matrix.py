@@ -62,19 +62,6 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: Matrix) -> Matrix:
-        self._check_same_shape(other)
-        F = self.field
-        return Matrix(F, [[F.add(a, b) for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.rows, other.rows)], self.ncols)
-
-    def __neg__(self) -> Matrix:
-        F = self.field
-        return Matrix(F, [[F.neg(v) for v in r] for r in self.rows], self.ncols)
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        return self + (-other)
-
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.field != other.field:
             raise ValueError("field mismatch")
@@ -116,23 +103,6 @@ class Matrix:
 
     def rank(self) -> int:
         return self.rref()[1]
-
-    def row_basis(self) -> Matrix:
-        """Canonical basis of the row space: rref with zero rows dropped."""
-        R, rank, _ = self.rref()
-        return Matrix(self.field, R.rows[:rank], self.ncols)
-
-    def inverse(self) -> Matrix:
-        if self.nrows != self.ncols:
-            raise ValueError("only square matrices invert")
-        n = self.nrows
-        if self.rank() < n:
-            raise ValueError("matrix is singular")
-        aug = Matrix(self.field,
-                     [list(r) + [1 if i == j else 0 for j in range(n)]
-                      for i, r in enumerate(self.rows)], 2 * n)
-        R, _, _ = aug.rref()
-        return Matrix(self.field, [r[n:] for r in R.rows], n)
 
     # -- plumbing -----------------------------------------------------
 

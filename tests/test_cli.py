@@ -236,10 +236,13 @@ def test_weights_lattice_guard(tmp_path, capsys):
 
 
 def r3_failing_gf2_6_table():
-    """rho = dim on GF(2)^6 with the first point lowered to 0: every
-    plane through that point is a length-2 interval that fails R3."""
-    vals = list(qmpoly.enumerate_subspaces(qmpoly.field(2), 6).dims)
-    vals[1] = 0
+    """rho = dim on GF(2)^6 plus 1 at the first 4-dim member (index
+    2,110): each length-2 interval from a plane below it up to it fails
+    R3.  The first one found has middles 715 < 716, so the ordered pair
+    scan is bounded by 716 rows of 2,825 pairs, past the guard."""
+    dims = qmpoly.enumerate_subspaces(qmpoly.field(2), 6).dims
+    vals = list(dims)
+    vals[dims.index(4)] += 1
     return {"kind": "table", "p": 2, "e": 1, "n": 6, "m": 1, "values": vals}
 
 
@@ -249,7 +252,7 @@ def test_fixed_guards_name_resource_and_limit(tmp_path, capsys):
         ({"p": 65537, "e": 1, "m": 1, "n": 1, "generators": []},
          "field order", 65537, 65536),
         # the ordered pair scan for the first R3 witness
-        (r3_failing_gf2_6_table(), "axiom pairs", 2825 ** 2, 10 ** 6),
+        (r3_failing_gf2_6_table(), "axiom pairs", 716 * 2825, 10 ** 6),
     ]
     for obj, resource, needed, limit in cases:
         path.write_text(json.dumps(obj) + "\n")
@@ -277,6 +280,70 @@ def test_fixed_guards_name_resource_and_limit(tmp_path, capsys):
         assert code == EXIT_GUARD and out == ""
         assert guard_line(err, "field order", needed, 65536).endswith(
             "this limit is fixed\n")
+
+
+def first_failing_pair(table):
+    """The ordered pair scan with no guard: the first pair in lattice
+    order that fails R3."""
+    lat, vals = table.lattice, table.values
+    return next((i, j) for i in range(len(lat)) for j in range(i + 1, len(lat))
+                if vals[lat.sum_index(i, j)] + vals[lat.meet_index(i, j)]
+                > vals[i] + vals[j])
+
+
+def test_verify_axioms_on_2x6_flags_reports_the_first_r3_witness(
+        tmp_path, capsys, gf2):
+    # N^2 = 2825^2 axiom pairs is past the guard, but the ordered scan
+    # stops by the smaller middle of a failing length-2 interval.
+    path = tmp_path / "flag.json"
+    rng = random.Random(2)
+    witnesses = []
+    for length in (2, 3, 2, 3, 2, 3):
+        flag = random_flag(gf2, 2, 6, length, rng)
+        path.write_text(dump_code_lines(flag.codes))
+        code, out, err = run(capsys, "verify", str(path), "--axioms")
+        assert code == EXIT_OK and err == ""
+        if "axioms: POLYMATROID" in out:
+            witnesses.append(None)
+            continue
+        witness = first_failing_pair(qmpoly.flag_polymatroid(flag))
+        assert ("axioms: R3 fails (informational), witness indices "
+                f"{witness}\n") in out
+        witnesses.append(witness)
+    assert witnesses == [None, (1, 2), (1, 106), (5, 112), (1, 17), (1, 4)]
+
+
+def test_point_mask_guard_trips_before_the_lattice_is_built(
+        tmp_path, capsys, monkeypatch):
+    # GF(3)^6: N = 56,632 members and L = 364 points, past 2^22 bits.
+    built = []
+    init = qmpoly.SubspaceLattice.__init__
+
+    def counting(self, f, n):
+        built.append((f.q, n))
+        init(self, f, n)
+    monkeypatch.setattr(qmpoly.SubspaceLattice, "__init__", counting)
+    code_line = {"p": 3, "e": 1, "m": 1, "n": 6,
+                 "generators": [[[1, 0, 0, 0, 0, 0]]]}
+    table_line = {"kind": "table", "p": 3, "e": 1, "n": 6, "m": 1,
+                  "values": [0] * 56632}
+    path = tmp_path / "in.json"
+    for obj, argv in [(code_line, ["weights"]), (table_line, ["weights"]),
+                      (code_line, ["verify", "--axioms"]),
+                      (code_line, ["verify"])]:
+        path.write_text(json.dumps(obj) + "\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, str(path))
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_GUARD and out == ""
+        assert guard_line(err, "lattice point-mask bits", 56632 * 364,
+                          2 ** 22).endswith("this limit is fixed\n")
+    # the member guard is checked, and reported, first
+    path.write_text(json.dumps(code_line) + "\n")
+    code, _, err = run(capsys, "weights", str(path), "--max-lattice", "1000")
+    assert code == EXIT_GUARD
+    guard_line(err, "subspace lattice members", 56632, 1000)
+    assert built == []
 
 
 def test_codes_past_the_pair_guard_get_exact_reports(tmp_path, capsys):

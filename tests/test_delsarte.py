@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import reference_routes
 from qmpoly import (DelsarteCode, GuardExceeded, Matrix, Subspace,
                     WeightProfile, anticode_gap_search, anticode_weights, check_axioms,
                     code_weights, devectorize, enumerate_subspaces, field,
@@ -48,7 +49,7 @@ def test_support_space_dimensions(gf2):
     assert support_space(line, 5).dim == 5
     # basis construction lands in canonical form already
     sup = support_space(Subspace(gf2, 3, [[1, 0, 1], [0, 1, 1]]), 2)
-    assert Matrix(gf2, sup.basis, 6).row_basis().rows == sup.basis
+    assert Subspace(gf2, 6, sup.basis).basis == sup.basis
 
 
 def test_subcode_identities(gf2):
@@ -283,6 +284,31 @@ def test_gabidulin_deterministic_and_mrd(gf2, gf3):
         assert is_mrd(c)
 
 
+# Bases and the largest m tried with each; every n <= m and k <= n.
+GABIDULIN_BASES = [(2, 1, 6), (3, 1, 4), (5, 1, 4), (7, 1, 3), (2, 2, 5),
+                   (2, 3, 4), (3, 2, 4)]
+
+
+@pytest.mark.parametrize("p, e, max_m", GABIDULIN_BASES)
+def test_gabidulin_matches_the_matrix_route(p, e, max_m):
+    base = field(p, e)
+    for m in range(1, max_m + 1):
+        for n in range(1, m + 1):
+            for k in range(1, n + 1):
+                assert (gabidulin(base, m, n, k)
+                        == reference_routes.gabidulin(base, m, n, k))
+
+
+def test_random_code_draws_as_the_matrix_route(gf2, gf3, gf4):
+    for f, m, n, k in [(gf2, 2, 3, 4), (gf2, 6, 6, 12), (gf3, 3, 5, 5),
+                       (gf4, 2, 3, 6), (field(3, 2), 2, 2, 4), (gf2, 1, 1, 1)]:
+        for seed in range(4):
+            a, b = random.Random(seed), random.Random(seed)
+            assert (random_code(f, m, n, k, a).basis
+                    == reference_routes.random_code(f, m, n, k, b).basis)
+            assert a.getstate() == b.getstate()
+
+
 def test_gabidulin_prime_power_base(gf4):
     c = gabidulin(gf4, 2, 2, 1)
     assert c.dim == 2
@@ -424,10 +450,11 @@ def test_random_code_determinism_and_uniform_touch(gf2):
 def test_code_equality_is_canonical(gf2):
     g1 = Matrix(gf2, [[1, 0], [0, 1]])
     g2 = Matrix(gf2, [[0, 1], [1, 0]])
+    g1_plus_g2 = Matrix(gf2, [[1, 1], [1, 1]])
     c1 = DelsarteCode.span(gf2, 2, 2, [g1, g2])
-    c2 = DelsarteCode.span(gf2, 2, 2, [g2, g1 + g2])
+    c2 = DelsarteCode.span(gf2, 2, 2, [g2, g1_plus_g2])
     assert c1 == c2
-    assert c1.contains_matrix(g1 + g2)
+    assert c1.contains_matrix(g1_plus_g2)
 
 
 def containment_population():

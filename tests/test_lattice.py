@@ -6,8 +6,9 @@ import pytest
 
 from qmpoly import (DelsarteCode, GuardExceeded, Matrix, PolymatroidTable,
                     Subspace, SubspaceLattice, all_subspaces, check_axioms,
-                    enumerate_subspaces, field, gaussian_binomial, lattice_size,
-                    random_code, support_space, trace_dual, vstack)
+                    enumerate_subspaces, field, gabidulin, gaussian_binomial,
+                    lattice_size, min_rank_distance, random_code,
+                    support_space, trace_dual, vstack)
 from qmpoly.lattice import MASK_BITS, MAX_MASK_BITS
 
 
@@ -129,7 +130,7 @@ def reference_kernel(mat):
             for i, pc in enumerate(pivots):
                 v[pc] = F.neg(R.rows[i][fc])
             vecs.append(v)
-    return Matrix(F, vecs, n).row_basis()
+    return Subspace(F, n, vecs).basis
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 0), (2, 1, 1), (2, 1, 2), (2, 1, 3),
@@ -138,7 +139,7 @@ def reference_kernel(mat):
 def test_complements_match_the_kernel_reference(p, e, n):
     lat = SubspaceLattice(field(p, e), n)
     for x, c in zip(lat, lat.complements):
-        ref = reference_kernel(Matrix(x.field, x.basis, n)).rows
+        ref = reference_kernel(Matrix(x.field, x.basis, n))
         assert lat[c].basis == ref
         assert x.orthogonal_complement().basis == ref
 
@@ -165,8 +166,9 @@ def test_complements_are_read_off_canonical_bases(gf2, monkeypatch):
 
 def test_trusted_paths_build_no_matrix(gf2, monkeypatch):
     # Only outside input is validated through Matrix; lattice members,
-    # complements, support spaces, trace duals and the zero and full
-    # codes are canonical row tuples as built.
+    # complements, support spaces, trace duals, the zero and full codes,
+    # Gabidulin and random codes are canonical row tuples as built, and
+    # codeword ranks come from row lists.
     x = Subspace(gf2, 4, [[1, 0, 1, 1], [0, 1, 1, 0]])
     code = random_code(gf2, 2, 4, 3, random.Random(5))
     calls = []
@@ -182,6 +184,13 @@ def test_trusted_paths_build_no_matrix(gf2, monkeypatch):
     assert DelsarteCode.zero(gf2, 2, 4).dim == 0
     assert DelsarteCode.full(gf2, 2, 4).dim == 8
     assert x.orthogonal_complement().dim == 2
+    for f, m, n, k in [(gf2, 4, 3, 2), (field(3), 3, 3, 1),
+                       (field(2, 2), 3, 2, 1), (field(3, 2), 2, 2, 1)]:
+        gab = gabidulin(f, m, n, k)
+        assert gab.dim == m * k
+        assert min_rank_distance(gab) == n - k + 1
+    assert random_code(gf2, 3, 3, 4, random.Random(1)).dim == 4
+    assert min_rank_distance(code) == 1
     assert calls == []
 
 

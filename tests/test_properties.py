@@ -1,6 +1,6 @@
 """Property tests of the input parser, the CLI, the weight scan, table
-duality, the lattice's pair operations, canonical bases and packed rows
-on generated inputs.
+duality, the lattice's pair operations, canonical bases, packed rows and
+the minimum rank distance on generated inputs.
 
 Examples are derandomized, so every run draws the same inputs.  Sizes
 stay small: the explicit reproductions in test_cli.py own the timing
@@ -13,12 +13,13 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmpoly import (DelsarteCode, Matrix, PolymatroidTable, Subspace, WeiReport,
-                    conullity_table, devectorize, enumerate_subspaces, field,
-                    lattice_size, nullity_profiles, nullity_table, uniform,
+                    code_weights, conullity_table, devectorize,
+                    enumerate_subspaces, field, lattice_size, min_rank_distance,
+                    nullity_profiles, nullity_table, uniform,
                     wei_duality_report, weight_witnesses)
 from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
                         InputError, load_input, main)
@@ -364,3 +365,30 @@ def test_packed_rows_agree_with_the_field_coordinate_by_coordinate(case):
     assert rows.sub(x, y) == rows.pack([f.sub(u, v) for u, v in zip(a, b)])
     assert rows.sub(x, x) == 0
     assert rows.scale(s, x) == rows.pack([f.mul(s, u) for u in a])
+
+
+# q^K <= 729 keeps the codeword enumeration of min_rank_distance short.
+D1_FIELDS = [((2, 1), 9), ((3, 1), 6), ((2, 2), 4), ((3, 2), 3)]
+
+
+@st.composite
+def small_codes(draw):
+    """Non-zero codes over GF(2), GF(3), GF(4) or GF(9), at most 3x3,
+    spanned by drawn rows."""
+    (p, e), max_k = draw(st.sampled_from(D1_FIELDS))
+    f = field(p, e)
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.sampled_from([0, 1, f.q - 1]) | st.integers(0, f.q - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=m * n, max_size=m * n),
+                         min_size=1, max_size=min(max_k, m * n)))
+    code = DelsarteCode(f, m, n, rows)
+    assume(code.dim > 0)
+    return code
+
+
+@SETTINGS
+@given(small_codes())
+def test_minimum_rank_distance_is_the_first_generalized_weight(code):
+    # d_1 by two independent routes: the least rank over all non-zero
+    # codewords, and the first weight read off the code's rank table.
+    assert min_rank_distance(code) == code_weights(code).values[0]
