@@ -17,8 +17,7 @@ from .flags import (Flag, FlagDualityReport, NestingError, NormalizedFlag,
                     flag_polymatroid, flag_weights, normalize_flag,
                     random_flag, relative_weights, verify_flag_duality)
 from .lattice import (DEFAULT_SUBSPACE_GUARD, Subspace, SubspaceLattice,
-                      all_subspaces, enumerate_subspaces, gaussian_binomial,
-                      lattice_size)
+                      enumerate_subspaces, gaussian_binomial, lattice_size)
 from .matrix import Matrix, trace_product, vstack
 from .polymatroid import (AxiomCheck, AxiomReport, NullityProfiles,
                           PolymatroidTable, ResidueDuality, Verdict,
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GF", "field", "GuardExceeded",
     "Matrix", "vstack", "trace_product",
-    "Subspace", "SubspaceLattice", "all_subspaces", "enumerate_subspaces",
+    "Subspace", "SubspaceLattice", "enumerate_subspaces",
     "gaussian_binomial", "lattice_size", "DEFAULT_SUBSPACE_GUARD",
     "PolymatroidTable", "Verdict", "AxiomCheck", "AxiomReport",
     "WeightProfile", "NullityProfiles", "ResidueDuality", "WeiReport",

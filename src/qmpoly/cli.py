@@ -158,7 +158,7 @@ def parse_code_obj(obj: dict) -> tuple[DelsarteCode, str | None]:
     for gi, g in enumerate(gens_raw):
         if not (isinstance(g, list) and len(g) == m
                 and all(isinstance(r, list) and len(r) == n for r in g)):
-            raise InputError(f"field 'generators[{gi}]': expected an {m}x{n} matrix")
+            raise InputError(f"field 'generators[{gi}]': expected a {m}x{n} matrix")
         for row in g:
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < f.q:
@@ -207,7 +207,8 @@ def load_input(path: str, guard: int):
     ("table", table line, None)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), 1)
+                     if ln.strip()]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -215,13 +216,13 @@ def load_input(path: str, guard: int):
     if not lines:
         raise InputError(f"{path} is empty")
     objs = []
-    for i, ln in enumerate(lines):
+    for i, ln in lines:
         try:
             objs.append(json.loads(ln))
         except (ValueError, RecursionError) as exc:  # huge ints, deep nesting
-            raise InputError(f"{path}:{i + 1}: invalid JSON ({exc})") from None
+            raise InputError(f"{path}:{i}: invalid JSON ({exc})") from None
         if not isinstance(objs[-1], dict):
-            raise InputError(f"{path}:{i + 1}: expected a JSON object")
+            raise InputError(f"{path}:{i}: expected a JSON object")
         if objs[-1].get("kind", "table") != "table":
             raise InputError(
                 f"field 'kind': {objs[-1]['kind']!r} must be 'table' or absent")
@@ -229,7 +230,12 @@ def load_input(path: str, guard: int):
         if len(objs) != 1:
             raise InputError("a table file holds exactly one line")
         return "table", parse_table_obj(objs[0], guard), None
-    parsed = [parse_code_obj(o) for o in objs]
+    parsed = []
+    for (i, _), o in zip(lines, objs):
+        try:
+            parsed.append(parse_code_obj(o))
+        except InputError as exc:  # a flag file names the line
+            raise InputError(f"{path}:{i}: {exc}" if len(objs) > 1 else str(exc)) from None
     if len(parsed) == 1:
         code, label = parsed[0]
         return "code", code, label

@@ -196,8 +196,8 @@ def subcode_dims(code: DelsarteCode,
     short echelon inserts into a basis of at most k vectors, stopped
     once the rank reaches k.  A merge subtracts packed rows (XOR in
     characteristic 2, a slot-wise add for odd p) and finds each leading
-    coordinate by `int.bit_length`; it calls the field only to scale by
-    a factor other than 1, and keeps each multiple it makes.  A member
+    coordinate by `int.bit_length`; it scales by `PackedRows.times`, with
+    no field call, and keeps each multiple it makes.  A member
     above a rank-k parent, or whose last line alone has rank k, has rank
     k, so it is not merged at all.  The full code has dim C(X) = m*dim X
     and the zero code 0; neither needs any of this.
@@ -218,8 +218,8 @@ def subcode_dims(code: DelsarteCode,
                           for r in range(m)], n)
     prod = Matrix(F, points, n) @ gen_rows.transpose()
     packed = packed_rows(F, k)
-    pack, sub, scale = packed.pack, packed.sub, packed.scale
-    width, mask, elem = packed.width, packed.mask, packed.element_of
+    pack, sub, times, inverse = packed.pack, packed.sub, packed.times, packed.inverse
+    width, mask = packed.width, packed.mask
     lines: list[tuple[int, ...]] = [()]
     for row in prod.rows:
         reduced, rank, _ = Matrix(F, [row[r::m] for r in range(m)], k).rref()
@@ -242,13 +242,13 @@ def subcode_dims(code: DelsarteCode,
                 f = (v >> (j * width)) & mask
                 b = basis[j]
                 if not b:
-                    basis[j] = v if f == 1 else scale(F.inv(elem[f]), v)
+                    basis[j] = times(inverse(f), v)
                     rank += 1
                     break
                 if f != 1:
                     fb = multiples.get((b, f))
                     if fb is None:
-                        fb = multiples[b, f] = scale(elem[f], b)
+                        fb = multiples[b, f] = times(f, b)
                     b = fb
                 v = sub(v, b)
             if rank == k:

@@ -155,21 +155,23 @@ class GF:
         return _undigits(_poly_rem(prod, list(self.modulus), p), p)
 
     def _build_tables(self):
+        # The first g of order q - 1: g^((q-1)/r) != 1 (square and multiply)
+        # for each prime r dividing q - 1.  Its powers fill the tables once.
         q = self.q
-        for g in range(1, q):
-            exp = [1]
-            acc = 1
-            while True:
-                acc = self._raw_mul(acc, g)
-                if acc == 1:
-                    break
-                exp.append(acc)
-            if len(exp) == q - 1:
-                log = [-1] * q
-                for i, v in enumerate(exp):
-                    log[v] = i
-                return exp, log
-        raise AssertionError("multiplicative group has no generator")
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+        g = next(g for g in range(1, q)
+                 if all(self._raw_pow(g, (q - 1) // r) != 1 for r in primes))
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(self._raw_mul(exp[-1], g))
+        log = [-1] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        return exp, log
+
+    def _raw_pow(self, a: int, k: int) -> int:
+        return 1 if k == 0 else self._raw_mul(
+            self._raw_pow(self._raw_mul(a, a), k >> 1), a if k & 1 else 1)
 
     # -- arithmetic ---------------------------------------------------
 

@@ -48,7 +48,10 @@ class Flag:
         first = codes[0]
         for i, c in enumerate(codes[1:], start=1):
             if c.field != first.field or c.shape != first.shape:
-                raise ValueError("flag members live in different matrix spaces")
+                key, a, b = next(t for t in zip("pemn", (c.field.p, c.field.e, *c.shape), (
+                    first.field.p, first.field.e, *first.shape)) if t[1] != t[2])
+                raise ValueError(f"flag members live in different matrix spaces: {key} = {a} "
+                                 f"in member {i}, {key} = {b} in member 0")
             if not c.is_subcode_of(codes[i - 1]):
                 raise NestingError(i)
         self.codes = codes

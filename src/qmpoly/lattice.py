@@ -1,14 +1,16 @@
 """The lattice of all subspaces of GF(q)^n.
 
 A subspace is represented by its canonical basis: the rows of its
-reduced row-echelon form, a tuple of row tuples.  Enumeration walks
-pivot-column patterns and fills the free entries directly, so every
+reduced row-echelon form, a tuple of row tuples.  The lattice is built
+on packed rows (`matrix.PackedRows`): enumeration walks pivot-column
+patterns and ORs the free entries into each row directly, so every
 canonical basis is produced exactly once and nothing needs
 deduplicating; the output size equals the answer size.
 
 Lattice members are ordered by dimension and then lexicographically by
-the flattened canonical basis.  The order is stable across runs, so
-rank tables indexed by lattice position compare bit for bit.
+the flattened canonical basis, which is the order of their packed rows
+as tuples of ints.  The order is stable across runs, so rank tables
+indexed by lattice position compare bit for bit.
 
 Pair operations on lattice indices work on point sets.  A subspace is
 the union of the projective points (1-dimensional subspaces) it
@@ -25,7 +27,8 @@ from functools import cached_property
 
 from .errors import check_guard
 from .field import GF
-from .matrix import Matrix, in_row_space, orthogonal_rows, rref_rows
+from .matrix import (Matrix, in_row_space, orthogonal_rows, packed_rows,
+                     rref_rows)
 
 DEFAULT_SUBSPACE_GUARD = 10 ** 6
 LATTICE_MEMBERS = "subspace lattice members"
@@ -93,10 +96,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def encoding(self) -> tuple[int, ...]:
-        """Flattened canonical basis; the lexicographic sort key."""
-        return tuple(v for row in self.basis for v in row)
-
     def _check_ambient(self, other: Subspace):
         if self.field != other.field or self.n != other.n:
             raise ValueError("ambient space mismatch")
@@ -130,9 +129,11 @@ class Subspace:
 
     def orthogonal_complement(self) -> Subspace:
         """All vectors with zero dot product against this subspace, read
-        off the canonical basis without reducing it again."""
-        return Subspace._from_rref(
-            self.field, self.n, orthogonal_rows(self.field, self.basis, self.n))
+        off the packed canonical basis (`matrix.orthogonal_rows`)."""
+        packed = packed_rows(self.field, self.n)
+        rows = orthogonal_rows(packed, tuple(map(packed.pack, self.basis)))
+        return Subspace._from_rref(self.field, self.n, tuple(
+            tuple(packed.unpack(r)) for r in rows))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
@@ -147,50 +148,55 @@ class Subspace:
         return f"Subspace({self.field!r}, n={self.n}, dim={self.dim}, rows={list(map(list, self.basis))})"
 
 
-def all_subspaces(field: GF, n: int):
-    """Yield every subspace of GF(q)^n in the canonical order."""
-    q = field.q
-    for k in range(n + 1):
+def _members(field: GF, n: int) -> tuple[list, tuple[Subspace, ...]]:
+    """The canonical bases as tuples of packed rows, in lattice order,
+    and their members.  A pivot pattern's bases are the product of its
+    rows' lists: the pivot 1 OR'd with every filling of the free entries."""
+    packed = packed_rows(field, n)
+    width, keys = packed.width, []
+    for d in range(n + 1):
         block = []
-        for pivots in itertools.combinations(range(n), k):
-            pivset = set(pivots)
-            free = [(i, j) for i in range(k)
-                    for j in range(pivots[i] + 1, n) if j not in pivset]
-            base = [[0] * n for _ in range(k)]
-            for i, c in enumerate(pivots):
-                base[i][c] = 1
-            for assign in itertools.product(range(q), repeat=len(free)):
-                rows = [r[:] for r in base]
-                for (i, j), v in zip(free, assign):
-                    rows[i][j] = v
-                block.append(Subspace._from_rref(
-                    field, n, tuple(map(tuple, rows))))
-        block.sort(key=Subspace.encoding)
-        yield from block
+        for pivots in itertools.combinations(range(n), d):
+            lists = [[1 << (n - 1 - c) * width] for c in pivots]
+            for c, rows in zip(pivots, lists):
+                for j in set(range(c + 1, n)).difference(pivots):
+                    rows[:] = [r | s << (n - 1 - j) * width
+                               for r in rows for s in packed._slot]
+            block.extend(itertools.product(*lists))
+        keys += sorted(block)
+    unpacked = {r: tuple(packed.unpack(r)) for r in set(itertools.chain.from_iterable(keys))}
+    new = Subspace._from_rref
+    return keys, tuple(new(field, n, tuple(map(unpacked.__getitem__, t))) for t in keys)
 
 
 class SubspaceLattice:
     """All subspaces of GF(q)^n with fixed positions and complements.
 
-    Members are in `all_subspaces` order: by dimension, then by basis
-    encoding.  So a member of smaller dimension has a smaller index,
-    position 0 is the zero space, positions 1..L are the L points and
-    the last position is the full space.  The pair operations read
-    `masks`, built on the first pair query; a lattice that never gets
-    one builds nothing beyond its members and complements.
+    Members are ordered by dimension, then by flattened canonical basis.
+    So a member of smaller dimension has a smaller index, position 0 is the
+    zero space, positions 1..L are the L points and the last position
+    is the full space.  Complements are read off the packed bases
+    (`matrix.orthogonal_rows`), each pair once, from its member of
+    dimension at least n/2.  The pair operations read `masks`, built on
+    the first pair query; a lattice that never gets one builds nothing
+    beyond its members and complements.
     """
 
     def __init__(self, field: GF, n: int):
         self.field = field
         self.n = n
-        self.members = tuple(all_subspaces(field, n))
-        self.dims = tuple(s.dim for s in self.members)
-        # Canonical basis rows -> index: members, complements and parents
-        # are looked up by row tuple, never by hashing Subspace objects.
+        keys, self.members = _members(field, n)
+        self.dims = dims = tuple(map(len, keys))
+        # Canonical basis rows -> index: members and parents are looked
+        # up by row tuple, never by hashing Subspace objects.
         self._by_rows = {s.basis: i for i, s in enumerate(self.members)}
-        self.complements = tuple(
-            self._by_rows[orthogonal_rows(field, s.basis, n)]
-            for s in self.members)
+        position, packed = dict(zip(keys, range(len(keys)))), packed_rows(field, n)
+        c = [-1] * len(keys)
+        for i in reversed(range(len(keys))):
+            if c[i] < 0 and 2 * dims[i] >= n:
+                c[i] = j = position[orthogonal_rows(packed, keys[i])]
+                c[j] = i
+        self.complements = tuple(c)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -294,6 +300,8 @@ class SubspaceLattice:
         return f"SubspaceLattice({self.field!r}, n={self.n}, size={len(self.members)})"
 
 
+# Never evicted: repeated commands in one process (a loop of `verify`
+# calls) reuse the lattices, and the member guard bounds each entry.
 _lattice_cache: dict[tuple[int, int, int], SubspaceLattice] = {}
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-from .field import GF, _digits
+from .field import GF
 
 
 class Matrix:
@@ -129,9 +129,8 @@ def rref_rows(F: GF, rows: list[list[int]],
               ncols: int) -> tuple[list[list[int]], int, tuple[int, ...]]:
     """Gauss-Jordan elimination on a list of row lists, in place:
     (rows, rank, pivot columns), with the rows in reduced echelon form
-    and zero rows trailing.  `Matrix.rref`, `orthogonal_rows` and
-    `Subspace.__and__` share it; trusted internal callers use it without
-    building a `Matrix`."""
+    and zero rows trailing.  `Matrix.rref` and `Subspace.__and__` share
+    it; the lattice build and `orthogonal_rows` use `PackedRows.rref`."""
     sub, mul = F.sub, F.mul
     nr = len(rows)
     pivots = []
@@ -181,31 +180,6 @@ def in_row_space(F: GF, basis, rows) -> bool:
     return True
 
 
-def orthogonal_rows(F: GF, basis, n: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical basis of the vectors of GF(q)^n with zero dot product
-    against every row of `basis`, a reduced echelon basis.
-
-    The pivots of `basis` are its rows' leading 1s, so the n - d kernel
-    vectors are read off it as they stand, one per non-pivot column fc:
-    1 at fc and -b[fc] at the pivot of each basis row b.  They are
-    independent, and one elimination (`rref_rows`) makes them
-    canonical; `basis` itself is not reduced again.
-    """
-    pivots = [b.index(1) for b in basis]
-    pivset = set(pivots)
-    vecs = []
-    for fc in range(n):
-        if fc not in pivset:
-            v = [0] * n
-            v[fc] = 1
-            for pc, b in zip(pivots, basis):
-                if b[fc]:
-                    v[pc] = F.neg(b[fc])
-            vecs.append(v)
-    rows, _, _ = rref_rows(F, vecs, n)
-    return tuple(map(tuple, rows))
-
-
 def vstack(first: Matrix, *rest: Matrix) -> Matrix:
     rows = list(first.rows)
     for m in rest:
@@ -234,7 +208,8 @@ class PackedRows:
     the highest slot, and the first non-zero coordinate is in slot
     (x.bit_length() - 1) // width.  A slot holds the e base-p digits of
     the element, lowest first, in fields of equal width; `element_of`
-    maps a slot's bits back to the element.
+    maps a slot's bits back to the element.  Slot values rise with the
+    elements, so ints compare as their coordinates do, lexicographically.
 
     - Characteristic 2: a field is one bit, so a slot is the element's
       encoding as it stands, and `add` and `sub` are XOR, for every e.
@@ -244,13 +219,12 @@ class PackedRows:
       adding 2^(bits - 1) - p to a field of `bits` bits sets its top
       bit exactly when it holds p or more.
 
-    `scale` multiplies through `GF` coordinate by coordinate; it is the
-    one operation that calls the field.  One instance per (field, k):
-    `packed_rows`.
+    `times` scales by the field's log and doubled antilog tables on slot
+    values, with no `GF` call.  One instance per (field, k): `packed_rows`.
     """
 
     __slots__ = ("field", "width", "mask", "add", "sub", "element_of",
-                 "_slot", "_shifts")
+                 "_slot", "_shifts", "_log", "_exp")
 
     def __init__(self, F: GF, k: int):
         p, e = F.p, F.e
@@ -258,9 +232,12 @@ class PackedRows:
         self.field = F
         self.width = width = e * digit
         self.mask = (1 << width) - 1
-        self._slot = [sum(d << (i * digit) for i, d in enumerate(_digits(a, p, e)))
-                      for a in range(F.q)]
-        self.element_of = {s: a for a, s in enumerate(self._slot)}
+        self._slot = slot = [0] * F.q  # a % p lowest, a // p's slot above
+        for a in range(1, F.q):
+            slot[a] = a % p | slot[a // p] << digit
+        self.element_of = {s: a for a, s in enumerate(slot)}
+        self._log = {slot[a]: F._log[a] for a in range(1, F.q)}
+        self._exp = [slot[a] for a in F._exp] * 2
         self._shifts = tuple(width * (k - 1 - j) for j in range(k))
         if p == 2:
             self.add = self.sub = operator.xor
@@ -298,14 +275,59 @@ class PackedRows:
         return [elem[(x >> s) & mask] for s in self._shifts]
 
     def scale(self, f: int, x: int) -> int:
-        """f times x; x itself when f is 1."""
-        if f == 1:
-            return x
-        mul = self.field.mul
-        return self.pack([mul(f, v) for v in self.unpack(x)])
+        """f times x, for an element f."""
+        return self.times(self._slot[f], x)
+
+    def times(self, s: int, x: int) -> int:
+        """x times the element in slot value s; x itself when s is 1."""
+        if s <= 1:
+            return x if s else 0
+        log, exp, mask, ls = self._log, self._exp, self.mask, self._log[s]
+        return sum(exp[ls + log[t]] << shift for shift in self._shifts
+                   if (t := (x >> shift) & mask))
+
+    def inverse(self, s: int) -> int:
+        """The slot value of the inverse of the element in slot s."""
+        return self._exp[self.field.q - 1 - self._log[s]]
+
+    def rref(self, rows) -> tuple[int, ...]:
+        """The non-zero rows of `rref_rows`, packed, in order: each row is
+        cleared at the kept rows' pivots, and a remainder is divided by its
+        lead (by bit length), cleared from the kept rows, and kept."""
+        width, mask, sub, times = self.width, self.mask, self.sub, self.times
+        kept: dict[int, int] = {}
+        for v in rows:
+            for shift, b in kept.items():
+                if f := (v >> shift) & mask:
+                    v = sub(v, times(f, b))
+            if v:
+                j = (v.bit_length() - 1) // width * width
+                v = v if v >> j == 1 else times(self.inverse(v >> j), v)
+                for shift, b in kept.items():
+                    if f := (b >> j) & mask:
+                        kept[shift] = sub(b, times(f, v))
+                kept[j] = v
+        return tuple(kept[j] for j in sorted(kept, reverse=True))
 
 
 @lru_cache(maxsize=None)
 def packed_rows(F: GF, k: int) -> PackedRows:
     """The shared `PackedRows` of GF(q)^k."""
     return PackedRows(F, k)
+
+
+def orthogonal_rows(packed: PackedRows, rows) -> tuple[int, ...]:
+    """The packed canonical basis of the dot-product complement of the
+    span of `rows`, a packed reduced echelon basis; the one complement
+    route.  Per non-pivot slot j, the kernel vector 1 at j minus each
+    row's entry at j at that row's pivot; one `PackedRows.rref`."""
+    width, mask, sub = packed.width, packed.mask, packed.sub
+    pivots = [(b.bit_length() - 1) // width * width for b in rows]
+    vecs = []
+    for shift in packed._shifts:
+        if shift not in pivots:
+            w = 0
+            for b, pivot in zip(rows, pivots):
+                w |= ((b >> shift) & mask) << pivot
+            vecs.append(sub(1 << shift, w))
+    return packed.rref(vecs)

@@ -6,17 +6,25 @@
   generator is built as a `Matrix`.
 - `random_code`: rejection sampling that tests the rank of a `Matrix`
   of the drawn rows.
+- `all_subspaces` and `orthogonal_rows`: the lattice enumeration on
+  tuple rows, sorted by `encoding` (the flattened canonical basis), and
+  complements read off canonical bases as row lists, reduced by
+  `rref_rows`.
+- `primitive_powers`: the powers of the first primitive element, found
+  by walking the whole cycle of each candidate generator.
 
-The library builds the same objects from coordinate tables and row
-lists.
+The library builds the same objects from coordinate tables, row lists,
+packed rows and order tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from qmpoly import DelsarteCode, GF, Matrix, field
+from qmpoly import DelsarteCode, GF, Matrix, Subspace, field
 from qmpoly.field import _digits, _undigits
+from qmpoly.matrix import rref_rows
 
 
 def subfield_embedding(base: GF, ext: GF):
@@ -109,3 +117,62 @@ def random_code(f: GF, m: int, n: int, k: int,
                          for _ in range(k)], width)
         if mat.rank() == k:
             return DelsarteCode(f, m, n, mat)
+
+
+def encoding(s: Subspace) -> tuple[int, ...]:
+    """Flattened canonical basis; the lexicographic sort key."""
+    return tuple(v for row in s.basis for v in row)
+
+
+def all_subspaces(f: GF, n: int):
+    """Every subspace of GF(q)^n in the canonical order."""
+    q = f.q
+    for k in range(n + 1):
+        block = []
+        for pivots in itertools.combinations(range(n), k):
+            pivset = set(pivots)
+            free = [(i, j) for i in range(k)
+                    for j in range(pivots[i] + 1, n) if j not in pivset]
+            base = [[0] * n for _ in range(k)]
+            for i, c in enumerate(pivots):
+                base[i][c] = 1
+            for assign in itertools.product(range(q), repeat=len(free)):
+                rows = [r[:] for r in base]
+                for (i, j), v in zip(free, assign):
+                    rows[i][j] = v
+                block.append(Subspace._from_rref(f, n, tuple(map(tuple, rows))))
+        block.sort(key=encoding)
+        yield from block
+
+
+def orthogonal_rows(f: GF, basis, n: int) -> tuple[tuple[int, ...], ...]:
+    """Canonical basis of the kernel of a reduced echelon basis: one
+    vector per non-pivot column fc, 1 at fc and -b[fc] at the pivot of
+    each basis row b, reduced by `rref_rows`."""
+    pivots = [b.index(1) for b in basis]
+    vecs = []
+    for fc in range(n):
+        if fc not in pivots:
+            v = [0] * n
+            v[fc] = 1
+            for pc, b in zip(pivots, basis):
+                if b[fc]:
+                    v[pc] = f.neg(b[fc])
+            vecs.append(v)
+    rows, _, _ = rref_rows(f, vecs, n)
+    return tuple(map(tuple, rows))
+
+
+def primitive_powers(f: GF) -> list[int]:
+    """g^0, ..., g^(q-2) for the first g whose cycle under `_raw_mul`
+    has length q - 1."""
+    for g in range(1, f.q):
+        exp, acc = [1], 1
+        while True:
+            acc = f._raw_mul(acc, g)
+            if acc == 1:
+                break
+            exp.append(acc)
+        if len(exp) == f.q - 1:
+            return exp
+    raise AssertionError("multiplicative group has no generator")

@@ -694,3 +694,33 @@ def test_weights_text_format(tmp_path, capsys):
     assert code == EXIT_OK
     assert "K = 3" in out
     assert "weights:      2 2 2" in out
+
+
+def test_flag_file_errors_name_the_line_and_the_field(tmp_path, capsys):
+    path = tmp_path / "flag.json"
+    first = {"p": 2, "e": 1, "m": 2, "n": 2, "generators": [[[1, 0], [0, 0]]]}
+    short = dict(first, generators=[[[1, 0]]])
+    # a code line of a flag file is named by its line, blank lines counted
+    path.write_text(json.dumps(first) + "\n\n" + json.dumps(short) + "\n")
+    code, out, err = run(capsys, "weights", str(path))
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"error: {path}:3: field 'generators[0]': expected a 2x2 matrix\n"
+    path.write_text(json.dumps(first) + "\n\n[1]\n")
+    code, _, err = run(capsys, "weights", str(path))
+    assert code == EXIT_INPUT and err == f"error: {path}:3: expected a JSON object\n"
+    # a one-line file keeps the bare message
+    path.write_text(json.dumps(short) + "\n")
+    code, _, err = run(capsys, "weights", str(path))
+    assert code == EXIT_INPUT
+    assert err == "error: field 'generators[0]': expected a 2x2 matrix\n"
+    # members in different matrix spaces: the differing field is named
+    for key, value, gens in [("p", 3, [[[1, 0], [0, 0]]]), ("e", 2, [[[1, 0], [0, 0]]]),
+                             ("m", 3, [[[1, 0], [0, 0], [0, 0]]]),
+                             ("n", 3, [[[1, 0, 0], [0, 0, 0]]])]:
+        other = dict(first, generators=gens, **{key: value})
+        path.write_text(json.dumps(first) + "\n" + json.dumps(other) + "\n")
+        for command in ("weights", "verify"):
+            code, _, err = run(capsys, command, str(path))
+            assert code == EXIT_INPUT
+            assert err == ("error: flag members live in different matrix spaces: "
+                           f"{key} = {value} in member 1, {key} = {first[key]} in member 0\n")

@@ -1,5 +1,6 @@
 import pytest
 
+import reference_routes
 from qmpoly import GF, GuardExceeded, field
 from qmpoly.field import is_irreducible, smallest_irreducible
 
@@ -122,3 +123,13 @@ def test_field_identity_and_cache():
     assert field(2, 3) is field(2, 3)
     assert field(2, 3) == GF(2, 3)
     assert field(2) != field(3)
+
+
+@pytest.mark.parametrize("p,e", SMALL_FIELDS + [(11, 1), (13, 1), (257, 1), (3, 3),
+                                                (5, 2), (7, 2), (3, 5), (2, 8), (2, 10)])
+def test_primitive_element_by_order_tests_matches_the_cycle_walk(p, e):
+    # The order tests pick the same first primitive element as walking
+    # each candidate's whole cycle, so both tables are unchanged.
+    f = GF(p, e)
+    assert f._exp == reference_routes.primitive_powers(f)
+    assert [f._log[v] for v in f._exp] == list(range(f.q - 1))

@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from qmpoly import (DelsarteCode, GuardExceeded, Matrix, PolymatroidTable,
-                    Subspace, SubspaceLattice, all_subspaces, check_axioms,
+import reference_routes
+from qmpoly import (DelsarteCode, GF, GuardExceeded, Matrix, PolymatroidTable,
+                    Subspace, SubspaceLattice, check_axioms,
                     enumerate_subspaces, field, gabidulin, gaussian_binomial,
                     lattice_size, min_rank_distance, random_code,
                     support_space, trace_dual, vstack)
@@ -51,7 +52,7 @@ def test_lattice_size_matches_gaussian_binomial_sum():
 def test_members_are_unique_and_ordered(gf3):
     lat = enumerate_subspaces(gf3, 3)
     assert len(set(lat.members)) == len(lat)
-    keys = [(s.dim, s.encoding()) for s in lat]
+    keys = [(s.dim, reference_routes.encoding(s)) for s in lat]
     assert keys == sorted(keys)
     assert lat.dims[lat.zero_index] == 0
     assert lat.dims[lat.full_index] == 3
@@ -60,7 +61,8 @@ def test_members_are_unique_and_ordered(gf3):
 def test_ordering_is_stable_across_builds(gf2):
     a = SubspaceLattice(gf2, 3)
     b = SubspaceLattice(gf2, 3)
-    assert [s.encoding() for s in a] == [s.encoding() for s in b]
+    assert ([reference_routes.encoding(s) for s in a]
+            == [reference_routes.encoding(s) for s in b])
     assert a.complements == b.complements
 
 
@@ -348,4 +350,35 @@ def test_guard_exceeded_reports_needed_count(gf2):
 
 def test_generator_matches_lattice(gf2):
     lat = enumerate_subspaces(gf2, 3)
-    assert tuple(all_subspaces(gf2, 3)) == lat.members
+    assert tuple(reference_routes.all_subspaces(gf2, 3)) == lat.members
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, n) for n in range(8)]
+                         + [(3, 1, 4), (2, 2, 4), (5, 1, 4), (2, 3, 3), (3, 2, 3)])
+def test_packed_build_matches_the_reference_enumeration(p, e, n):
+    # Members (order and basis tuples) and complements of the packed
+    # build against the tuple enumeration and the list-based kernel.
+    f = field(p, e)
+    lat = SubspaceLattice(f, n)
+    ref = tuple(reference_routes.all_subspaces(f, n))
+    assert [s.basis for s in lat] == [s.basis for s in ref]
+    position = {s.basis: i for i, s in enumerate(ref)}
+    assert lat.complements == tuple(
+        position[reference_routes.orthogonal_rows(f, s.basis, n)] for s in ref)
+    c, dims = lat.complements, lat.dims
+    assert all(c[c[i]] == i and dims[c[i]] == n - dims[i] for i in range(len(lat)))
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 5), (3, 1, 4), (2, 2, 3), (3, 2, 3)])
+def test_lattice_build_makes_no_field_call(p, e, n, monkeypatch):
+    # Enumeration, unpacking and complements all run on packed rows and
+    # the slot tables; over GF(2) no row is ever scaled at all.
+    f = field(p, e)
+    calls = []
+    for op in ("add", "sub", "neg", "mul", "inv"):
+        def counted(self, *args, op=op, fn=getattr(GF, op)):
+            calls.append(op)
+            return fn(self, *args)
+        monkeypatch.setattr(GF, op, counted)
+    lat = SubspaceLattice(f, n)
+    assert calls == [] and len(lat) == lattice_size(f, n)

@@ -1,6 +1,7 @@
 """Property tests of the input parser, the CLI, the weight scan, table
-duality, the lattice's pair operations, canonical bases, packed rows and
-the minimum rank distance on generated inputs.
+duality, the lattice's pair operations, canonical bases, packed rows,
+packed elimination and complements, and the minimum rank distance on
+generated inputs.
 
 Examples are derandomized, so every run draws the same inputs.  Sizes
 stay small: the explicit reproductions in test_cli.py own the timing
@@ -16,6 +17,7 @@ import tempfile
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import reference_routes
 from qmpoly import (DelsarteCode, Matrix, PolymatroidTable, Subspace, WeiReport,
                     code_weights, conullity_table, devectorize,
                     enumerate_subspaces, field, lattice_size, min_rank_distance,
@@ -24,7 +26,7 @@ from qmpoly import (DelsarteCode, Matrix, PolymatroidTable, Subspace, WeiReport,
 from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
                         InputError, load_input, main)
 from qmpoly.errors import GuardExceeded
-from qmpoly.matrix import packed_rows
+from qmpoly.matrix import packed_rows, rref_rows
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -392,3 +394,41 @@ def test_minimum_rank_distance_is_the_first_generalized_weight(code):
     # d_1 by two independent routes: the least rank over all non-zero
     # codewords, and the first weight read off the code's rank table.
     assert min_rank_distance(code) == code_weights(code).values[0]
+
+
+ELIMINATION_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+
+
+@st.composite
+def row_lists(draw, max_k):
+    """A field of ELIMINATION_FIELDS, a length k <= max_k and a list of
+    rows of GF(q)^k, often dependent: the sum of the first two rows is
+    appended when there are two."""
+    f = field(*draw(st.sampled_from(ELIMINATION_FIELDS)))
+    k = draw(st.integers(0, max_k))
+    entry = st.sampled_from([0, 1, f.q - 1]) | st.integers(0, f.q - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), max_size=k + 1))
+    if len(rows) >= 2:
+        rows.append([f.add(a, b) for a, b in zip(rows[0], rows[1])])
+    return f, k, rows
+
+
+@SETTINGS
+@given(row_lists(8))
+def test_packed_elimination_matches_rref_rows(case):
+    f, k, rows = case
+    packed = packed_rows(f, k)
+    reduced, rank, _ = rref_rows(f, [list(r) for r in rows], k)
+    assert (packed.rref([packed.pack(r) for r in rows])
+            == tuple(packed.pack(r) for r in reduced[:rank]))
+
+
+@SETTINGS
+@given(row_lists(12))
+def test_orthogonal_complement_matches_the_reference_kernel(case):
+    # The trace dual's route: Subspace.orthogonal_complement, on packed
+    # rows, against the list-based kernel read off the same basis.
+    f, n, rows = case
+    space = Subspace(f, n, rows) if rows else Subspace.zero(f, n)
+    assert (space.orthogonal_complement().basis
+            == reference_routes.orthogonal_rows(f, space.basis, n))
