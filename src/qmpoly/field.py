@@ -12,13 +12,16 @@ the first irreducible one wins.  Canonical forms built downstream are
 therefore reproducible across runs.
 
 Multiplication, inversion and powers go through log/antilog tables over
-a primitive element, built once per field.  Addition is digitwise mod p
-(a plain XOR in characteristic 2).  Table-backed arithmetic keeps the
-inner loops of lattice enumeration cheap.
+a primitive element, built once per field, as is the one slot encoding
+(`matrix.PackedRows` packs k slots to an int): the e base-p digits, lowest
+first, in fields of `digit` bits, one bit for p = 2 (the element as it
+stands) and one more than p for odd p.  Addition is XOR for p = 2, mod p
+for e = 1, and else the one-slot `slot_ops` add.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .errors import check_guard
@@ -114,6 +117,34 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible of degree {e} over F_{p}")
 
 
+def slot_ops(F: GF, k: int):
+    """Add and subtract on k slots of the field F at once: XOR in
+    characteristic 2; for odd p, add all digit fields at once, then
+    subtract p from each field that reached p (SWAR, "SIMD within a
+    register"): adding 2^(digit - 1) - p to a field of `digit` bits sets
+    its top bit exactly when it holds p or more."""
+    p, digit = F.p, F.digit
+    if p == 2:
+        return operator.xor, operator.xor
+    ones = sum(1 << (i * digit) for i in range(F.e * k))
+    top, all_p = digit - 1, p * ones
+    offset, tops = ((1 << top) - p) * ones, ones << top
+
+    # Every field of s holds at most 2p - 1, so s + offset is below
+    # 2^top + p - 1 < 2^digit and carries into no other field.
+    def add(a: int, b: int) -> int:
+        s = a + b
+        g = (s + offset) & tops
+        return s - (all_p & (g - (g >> top)))
+
+    def sub(a: int, b: int) -> int:
+        s = a + all_p - b
+        g = (s + offset) & tops
+        return s - (all_p & (g - (g >> top)))
+
+    return add, sub
+
+
 class GF:
     """The finite field GF(p^e) acting on integer-encoded elements.
 
@@ -123,6 +154,9 @@ class GF:
     e : extension degree (1 for prime fields)
 
     q = p^e is guarded by DEFAULT_MAX_ORDER; table construction is O(q).
+    The slot tables: `slot` and `element_of` map elements to slot values
+    and back; `slot_log` is keyed by slot value, and `slot_exp` lists the
+    powers' slot values twice, so a sum of two logs indexes it.
     """
 
     def __init__(self, p: int, e: int = 1):
@@ -131,16 +165,24 @@ class GF:
         check_order(p, e)
         if not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
-        self.p = p
-        self.e = e
-        self.q = p ** e
+        self.p, self.e, self.q = p, e, (q := p ** e)
         self.modulus: tuple[int, ...] | None = (
             smallest_irreducible(p, e) if e > 1 else None)
-        self._exp, self._log = self._build_tables()
+        self.digit = digit = 1 if p == 2 else p.bit_length() + 1
+        self.slot = slot = [0] * q  # a % p lowest, a // p's slot above
+        for a in range(1, q):
+            slot[a] = a % p | slot[a // p] << digit
+        self.element_of = {s: a for a, s in enumerate(slot)}
+        self._slot_add, self._slot_sub = slot_ops(self, 1)
+        powers = self._slot_powers()
+        self.slot_exp = powers * 2
+        self.slot_log = {s: i for i, s in enumerate(powers)}
+        self._exp = [self.element_of[s] for s in powers]
+        self._log = [self.slot_log.get(s, -1) for s in slot]
 
     def _raw_mul(self, a: int, b: int) -> int:
-        # Direct polynomial product mod the modulus; only used while
-        # bootstrapping the log tables.
+        # Direct polynomial product mod the modulus; only the order tests
+        # and the chunk tables of `_slot_powers` use it.
         if self.e == 1:
             return (a * b) % self.p
         p = self.p
@@ -154,20 +196,33 @@ class GF:
                         prod[i + j] = (prod[i + j] + x * y) % p
         return _undigits(_poly_rem(prod, list(self.modulus), p), p)
 
-    def _build_tables(self):
-        # The first g of order q - 1: g^((q-1)/r) != 1 (square and multiply)
-        # for each prime r dividing q - 1.  Its powers fill the tables once.
-        q = self.q
+    def _slot_powers(self) -> list[int]:
+        """The slot values of g^0, ..., g^(q-2), for the first g of order
+        q - 1: g^((q-1)/r) != 1 (square and multiply) for each prime r
+        dividing q - 1.  In GF(p^e), e > 1, x -> x*g is GF(p)-linear, so
+        the slot of x*g is the slot-wise sum of the images of x's chunks of
+        c digits (p^c <= 256, or one digit), each read off a table of the
+        chunk's values times g."""
+        p, e, q, digit, add = self.p, self.e, self.q, self.digit, self._slot_add
         primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
         g = next(g for g in range(1, q)
                  if all(self._raw_pow(g, (q - 1) // r) != 1 for r in primes))
-        exp = [1]
+        powers = [1]
+        if e == 1:  # the slot is the element
+            for _ in range(q - 2):
+                powers.append(powers[-1] * g % p)
+            return powers
+        c = max(c for c in range(1, e + 1) if p ** c <= 256 or c == 1)
+        mask, slot, mul = (1 << c * digit) - 1, self.slot, self._raw_mul
+        tables = [(lo * digit, {slot[v]: slot[mul(v * p ** lo, g)]
+                                for v in range(p ** min(c, e - lo))})
+                  for lo in range(0, e, c)]
         for _ in range(q - 2):
-            exp.append(self._raw_mul(exp[-1], g))
-        log = [-1] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        return exp, log
+            x, y = powers[-1], 0
+            for shift, table in tables:
+                y = add(y, table[x >> shift & mask])
+            powers.append(y)
+        return powers
 
     def _raw_pow(self, a: int, k: int) -> int:
         return 1 if k == 0 else self._raw_mul(
@@ -180,30 +235,17 @@ class GF:
             return a ^ b
         if self.e == 1:
             return (a + b) % self.p
-        p = self.p
-        out, shift = 0, 1
-        for _ in range(self.e):
-            out += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return out
+        return self.element_of[self._slot_add(self.slot[a], self.slot[b])]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        out, shift = 0, 1
-        for _ in range(self.e):
-            out += ((-a) % p) * shift
-            a //= p
-            shift *= p
-        return out
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.p == 2:
+            return a ^ b
+        if self.e == 1:
+            return (a - b) % self.p
+        return self.element_of[self._slot_sub(self.slot[a], self.slot[b])]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

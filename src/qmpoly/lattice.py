@@ -161,7 +161,7 @@ def _members(field: GF, n: int) -> tuple[list, tuple[Subspace, ...]]:
             for c, rows in zip(pivots, lists):
                 for j in set(range(c + 1, n)).difference(pivots):
                     rows[:] = [r | s << (n - 1 - j) * width
-                               for r in rows for s in packed._slot]
+                               for r in rows for s in field.slot]
             block.extend(itertools.product(*lists))
         keys += sorted(block)
     unpacked = {r: tuple(packed.unpack(r)) for r in set(itertools.chain.from_iterable(keys))}

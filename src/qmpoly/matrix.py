@@ -5,10 +5,9 @@ lattice is built from, and vectors of GF(q)^k packed into one int each
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
-from .field import GF
+from .field import GF, field as shared_field, slot_ops
 
 
 class Matrix:
@@ -202,93 +201,50 @@ def trace_product(a: Matrix, b: Matrix) -> int:
 
 
 class PackedRows:
-    """Vectors of GF(p^e)^k, each held as one int.
+    """Vectors of GF(p^e)^k, each held as one int of k slots.
 
     Coordinate j sits in slot k-1-j of `width` bits, so coordinate 0 is
     the highest slot, and the first non-zero coordinate is in slot
-    (x.bit_length() - 1) // width.  A slot holds the e base-p digits of
-    the element, lowest first, in fields of equal width; `element_of`
-    maps a slot's bits back to the element.  Slot values rise with the
-    elements, so ints compare as their coordinates do, lexicographically.
-
-    - Characteristic 2: a field is one bit, so a slot is the element's
-      encoding as it stands, and `add` and `sub` are XOR, for every e.
-    - Odd p: a field has one bit more than p, room for the sum of two
-      digits.  `add` and `sub` add all fields at once, then subtract p
-      from each field that reached p (SWAR, "SIMD within a register"):
-      adding 2^(bits - 1) - p to a field of `bits` bits sets its top
-      bit exactly when it holds p or more.
-
-    `times` scales by the field's log and doubled antilog tables on slot
-    values, with no `GF` call.  One instance per (field, k): `packed_rows`.
+    (x.bit_length() - 1) // width.  A slot holds the field's slot encoding
+    (`GF.slot`), whose values rise with the elements, so ints compare as
+    their coordinates do.  `add` and `sub` are `field.slot_ops` on k
+    slots; `times` scales through the field's slot tables, with no `GF`
+    call.  An instance keeps only what depends on k; one per (field, k):
+    `packed_rows`.
     """
 
-    __slots__ = ("field", "width", "mask", "add", "sub", "element_of",
-                 "_slot", "_shifts", "_log", "_exp")
+    __slots__ = ("field", "width", "mask", "add", "sub", "_shifts")
 
     def __init__(self, F: GF, k: int):
-        p, e = F.p, F.e
-        digit = 1 if p == 2 else p.bit_length() + 1
         self.field = F
-        self.width = width = e * digit
+        self.width = width = F.e * F.digit
         self.mask = (1 << width) - 1
-        self._slot = slot = [0] * F.q  # a % p lowest, a // p's slot above
-        for a in range(1, F.q):
-            slot[a] = a % p | slot[a // p] << digit
-        self.element_of = {s: a for a, s in enumerate(slot)}
-        self._log = {slot[a]: F._log[a] for a in range(1, F.q)}
-        self._exp = [slot[a] for a in F._exp] * 2
         self._shifts = tuple(width * (k - 1 - j) for j in range(k))
-        if p == 2:
-            self.add = self.sub = operator.xor
-            return
-        ones = sum(1 << (i * digit) for i in range(e * k))
-        top = digit - 1
-        all_p = p * ones
-        offset = ((1 << top) - p) * ones
-        tops = ones << top
-
-        # Every field of s holds at most 2p - 1, so s + offset is below
-        # 2^top + p - 1 < 2^digit and carries into no other field.
-        def add(a: int, b: int) -> int:
-            s = a + b
-            g = (s + offset) & tops
-            return s - (all_p & (g - (g >> top)))
-
-        def sub(a: int, b: int) -> int:
-            s = a + all_p - b
-            g = (s + offset) & tops
-            return s - (all_p & (g - (g >> top)))
-
-        self.add = add
-        self.sub = sub
+        self.add, self.sub = slot_ops(F, k)
 
     def pack(self, vec) -> int:
-        slot, width = self._slot, self.width
+        slot, width = self.field.slot, self.width
         x = 0
         for v in vec:
             x = (x << width) | slot[v]
         return x
 
     def unpack(self, x: int) -> list[int]:
-        elem, mask = self.element_of, self.mask
+        elem, mask = self.field.element_of, self.mask
         return [elem[(x >> s) & mask] for s in self._shifts]
-
-    def scale(self, f: int, x: int) -> int:
-        """f times x, for an element f."""
-        return self.times(self._slot[f], x)
 
     def times(self, s: int, x: int) -> int:
         """x times the element in slot value s; x itself when s is 1."""
         if s <= 1:
             return x if s else 0
-        log, exp, mask, ls = self._log, self._exp, self.mask, self._log[s]
+        F, mask = self.field, self.mask
+        log, exp, ls = F.slot_log, F.slot_exp, F.slot_log[s]
         return sum(exp[ls + log[t]] << shift for shift in self._shifts
                    if (t := (x >> shift) & mask))
 
     def inverse(self, s: int) -> int:
         """The slot value of the inverse of the element in slot s."""
-        return self._exp[self.field.q - 1 - self._log[s]]
+        return self.field.slot_exp[self.field.q - 1 - self.field.slot_log[s]]
 
     def rref(self, rows) -> tuple[int, ...]:
         """The non-zero rows of `rref_rows`, packed, in order: each row is
@@ -312,8 +268,9 @@ class PackedRows:
 
 @lru_cache(maxsize=None)
 def packed_rows(F: GF, k: int) -> PackedRows:
-    """The shared `PackedRows` of GF(q)^k."""
-    return PackedRows(F, k)
+    """The shared `PackedRows` of GF(q)^k, on the tables of the shared
+    field, `field.field(p, e)`, also for an equal field built apart."""
+    return PackedRows(shared_field(F.p, F.e), k)
 
 
 def orthogonal_rows(packed: PackedRows, rows) -> tuple[int, ...]:

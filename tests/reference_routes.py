@@ -12,9 +12,11 @@
   `rref_rows`.
 - `primitive_powers`: the powers of the first primitive element, found
   by walking the whole cycle of each candidate generator.
+- `digit_add` and `digit_neg`: GF(p^e) addition and negation digit by
+  digit, mod p.
 
 The library builds the same objects from coordinate tables, row lists,
-packed rows and order tests.
+packed rows, order tests and slot-wise adds.
 """
 
 from __future__ import annotations
@@ -176,3 +178,14 @@ def primitive_powers(f: GF) -> list[int]:
         if len(exp) == f.q - 1:
             return exp
     raise AssertionError("multiplicative group has no generator")
+
+
+def digit_add(f: GF, a: int, b: int) -> int:
+    """a + b, the base-p digits added one by one, mod p."""
+    return _undigits([(x + y) % f.p for x, y in zip(_digits(a, f.p, f.e),
+                                                     _digits(b, f.p, f.e))], f.p)
+
+
+def digit_neg(f: GF, a: int) -> int:
+    """-a, each base-p digit negated mod p."""
+    return _undigits([-x % f.p for x in _digits(a, f.p, f.e)], f.p)

@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 import reference_routes
 from qmpoly import GF, GuardExceeded, field
 from qmpoly.field import is_irreducible, smallest_irreducible
+from qmpoly.matrix import packed_rows
 
 # fields with q <= 64 get the exhaustive axiom treatment
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2),
@@ -60,6 +64,7 @@ def test_field_axioms_exhaustive(p, e):
         assert f.add(a, f.neg(a)) == 0
         for b in els:
             assert f.add(a, b) == f.add(b, a)
+            assert f.sub(a, b) == f.add(a, f.neg(b))
             assert f.mul(a, b) == f.mul(b, a)
             for c in els:
                 assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
@@ -86,6 +91,38 @@ def test_modulus_has_no_root_and_divides_nothing_smaller():
                 acc = (acc * a + c) % p
             assert acc != 0
         assert is_irreducible(coeffs, p)
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (7, 2), (5, 3),
+                                 (3, 10), (5, 6)])
+def test_addition_matches_the_digit_loops(p, e):
+    # The one-slot add, negate and subtract against the digit-by-digit
+    # oracle: every pair up to q = 125, random pairs and extremes past it.
+    f, rng = field(p, e), random.Random(p * e)
+    if f.q <= 125:
+        pairs = itertools.product(f.elements(), repeat=2)
+    else:
+        pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
+        pairs += itertools.product([0, 1, f.q - 1], repeat=2)
+    for a, b in pairs:
+        minus_b = reference_routes.digit_neg(f, b)
+        assert f.neg(b) == minus_b
+        assert f.add(a, b) == reference_routes.digit_add(f, a, b)
+        assert f.sub(a, b) == reference_routes.digit_add(f, a, minus_b)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 4), (3, 1), (3, 2), (5, 3)])
+def test_packed_rows_share_the_field_slot_tables(p, e):
+    # Packed rows of every length read the tables the field built once,
+    # also when their field was built apart.
+    f = field(p, e)
+    short, long = packed_rows(f, 2), packed_rows(GF(p, e), 7)
+    assert short.field is long.field is f
+    for name in ("slot", "element_of", "slot_log", "slot_exp"):
+        assert not hasattr(short, name) and not hasattr(long, name)
+    assert f.slot_exp == [f.slot[a] for a in f._exp] * 2
+    assert all(f.element_of[f.slot[a]] == a for a in f.elements())
+    assert all(f.slot_log[f.slot[a]] == f._log[a] for a in range(1, f.q))
 
 
 def test_powers():

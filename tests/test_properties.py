@@ -366,7 +366,7 @@ def test_packed_rows_agree_with_the_field_coordinate_by_coordinate(case):
     assert rows.add(x, y) == rows.pack([f.add(u, v) for u, v in zip(a, b)])
     assert rows.sub(x, y) == rows.pack([f.sub(u, v) for u, v in zip(a, b)])
     assert rows.sub(x, x) == 0
-    assert rows.scale(s, x) == rows.pack([f.mul(s, u) for u in a])
+    assert rows.times(f.slot[s], x) == rows.pack([f.mul(s, u) for u in a])
 
 
 # q^K <= 729 keeps the codeword enumeration of min_rank_distance short.
