@@ -14,9 +14,10 @@ therefore reproducible across runs.
 Multiplication, inversion and powers go through log/antilog tables over
 a primitive element, built once per field, as is the one slot encoding
 (`matrix.PackedRows` packs k slots to an int): the e base-p digits, lowest
-first, in fields of `digit` bits, one bit for p = 2 (the element as it
-stands) and one more than p for odd p.  Addition is XOR for p = 2, mod p
-for e = 1, and else the one-slot `slot_ops` add.
+first, in fields of `digit` bits: one bit for p = 2, one more than p
+needs for odd p (so the slot is the element when p = 2 or e = 1).
+Addition is XOR for p = 2, mod p for e = 1, and else the one-slot
+`slot_ops` add.
 """
 
 from __future__ import annotations
@@ -83,23 +84,12 @@ def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
 
 
 def is_irreducible(coeffs, p: int) -> bool:
-    """Trial-division irreducibility test for a monic polynomial over F_p.
-
-    Checks for roots in F_p first, then divides by every monic
-    polynomial of degree 2 .. deg/2.
-    """
+    """Trial-division irreducibility test for a monic polynomial over F_p:
+    it divides by every monic polynomial of degree 1 .. deg/2."""
     e = len(coeffs) - 1
     if e <= 0:
         return False
-    if e == 1:
-        return True
-    for a in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            return False
-    for d in range(2, e // 2 + 1):
+    for d in range(1, e // 2 + 1):
         for enc in range(p ** d):
             den = _digits(enc, p, d) + [1]
             if not any(_poly_rem(list(coeffs), den, p)):
@@ -123,12 +113,13 @@ def slot_ops(F: GF, k: int):
     subtract p from each field that reached p (SWAR, "SIMD within a
     register"): adding 2^(digit - 1) - p to a field of `digit` bits sets
     its top bit exactly when it holds p or more."""
-    p, digit = F.p, F.digit
-    if p == 2:
+    if F.p == 2:
         return operator.xor, operator.xor
-    ones = sum(1 << (i * digit) for i in range(F.e * k))
-    top, all_p = digit - 1, p * ones
-    offset, tops = ((1 << top) - p) * ones, ones << top
+    ones = sum(1 << (i * F.digit) for i in range(F.e * k))
+    top = F.digit - 1
+    all_p = F.p * ones
+    offset = ((1 << top) - F.p) * ones
+    tops = ones << top
 
     # Every field of s holds at most 2p - 1, so s + offset is below
     # 2^top + p - 1 < 2^digit and carries into no other field.
@@ -165,20 +156,28 @@ class GF:
         check_order(p, e)
         if not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
-        self.p, self.e, self.q = p, e, (q := p ** e)
+        self.p = p
+        self.e = e
+        self.q = q = p ** e
         self.modulus: tuple[int, ...] | None = (
             smallest_irreducible(p, e) if e > 1 else None)
         self.digit = digit = 1 if p == 2 else p.bit_length() + 1
-        self.slot = slot = [0] * q  # a % p lowest, a // p's slot above
-        for a in range(1, q):
-            slot[a] = a % p | slot[a // p] << digit
-        self.element_of = {s: a for a, s in enumerate(slot)}
         self._slot_add, self._slot_sub = slot_ops(self, 1)
+        same = p == 2 or e == 1  # the slot is the element
+        if same:
+            self.slot = self.element_of = range(q)
+        else:
+            self.slot = slot = [0] * q  # a % p lowest, a // p's slot above
+            for a in range(1, q):
+                slot[a] = a % p | slot[a // p] << digit
+            self.element_of = {s: a for a, s in enumerate(slot)}
         powers = self._slot_powers()
         self.slot_exp = powers * 2
-        self.slot_log = {s: i for i, s in enumerate(powers)}
-        self._exp = [self.element_of[s] for s in powers]
-        self._log = [self.slot_log.get(s, -1) for s in slot]
+        self._exp = powers if same else [self.element_of[s] for s in powers]
+        self._log = [-1] * q
+        for i, a in enumerate(self._exp):
+            self._log[a] = i
+        self.slot_log = self._log if same else dict(zip(powers, range(q)))
 
     def _raw_mul(self, a: int, b: int) -> int:
         # Direct polynomial product mod the modulus; only the order tests
@@ -199,27 +198,30 @@ class GF:
     def _slot_powers(self) -> list[int]:
         """The slot values of g^0, ..., g^(q-2), for the first g of order
         q - 1: g^((q-1)/r) != 1 (square and multiply) for each prime r
-        dividing q - 1.  In GF(p^e), e > 1, x -> x*g is GF(p)-linear, so
-        the slot of x*g is the slot-wise sum of the images of x's chunks of
-        c digits (p^c <= 256, or one digit), each read off a table of the
-        chunk's values times g."""
-        p, e, q, digit, add = self.p, self.e, self.q, self.digit, self._slot_add
+        dividing q - 1.  x -> x*g is GF(p)-linear, so the slot of x*g is
+        the slot-wise sum of the images of x's chunks of c digits (p^c <=
+        256, or one digit), each read off a table of the chunk's values
+        times g."""
+        p = self.p
+        e = self.e
+        q = self.q
         primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
         g = next(g for g in range(1, q)
                  if all(self._raw_pow(g, (q - 1) // r) != 1 for r in primes))
-        powers = [1]
-        if e == 1:  # the slot is the element
-            for _ in range(q - 2):
-                powers.append(powers[-1] * g % p)
-            return powers
         c = max(c for c in range(1, e + 1) if p ** c <= 256 or c == 1)
-        mask, slot, mul = (1 << c * digit) - 1, self.slot, self._raw_mul
-        tables = [(lo * digit, {slot[v]: slot[mul(v * p ** lo, g)]
-                                for v in range(p ** min(c, e - lo))})
+        mask = (1 << c * self.digit) - 1
+        slot = self.slot
+        add = self._slot_add
+        tables = [(lo * self.digit,
+                   {slot[v]: slot[self._raw_mul(v * p ** lo, g)]
+                    for v in range(p ** min(c, e - lo))})
                   for lo in range(0, e, c)]
+        (_, first), *rest = tables
+        powers = [1]
         for _ in range(q - 2):
-            x, y = powers[-1], 0
-            for shift, table in tables:
+            x = powers[-1]
+            y = first[x & mask]
+            for shift, table in rest:
                 y = add(y, table[x >> shift & mask])
             powers.append(y)
         return powers

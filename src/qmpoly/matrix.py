@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .field import GF, field as shared_field, slot_ops
+from .field import GF, slot_ops
 
 
 class Matrix:
@@ -268,9 +268,8 @@ class PackedRows:
 
 @lru_cache(maxsize=None)
 def packed_rows(F: GF, k: int) -> PackedRows:
-    """The shared `PackedRows` of GF(q)^k, on the tables of the shared
-    field, `field.field(p, e)`, also for an equal field built apart."""
-    return PackedRows(shared_field(F.p, F.e), k)
+    """The shared `PackedRows` of GF(q)^k."""
+    return PackedRows(F, k)
 
 
 def orthogonal_rows(packed: PackedRows, rows) -> tuple[int, ...]:
