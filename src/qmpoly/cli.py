@@ -51,7 +51,6 @@ from .flags import Flag, flag_polymatroid, random_flag, verify_flag_duality
 from .lattice import (DEFAULT_SUBSPACE_GUARD, LATTICE_MEMBERS, Subspace,
                       check_mask_bits, checked_lattice_size,
                       enumerate_subspaces)
-from .matrix import Matrix
 from .polymatroid import (PolymatroidTable, check_axioms, nullity_profiles,
                           wei_duality_report)
 
@@ -154,7 +153,7 @@ def parse_code_obj(obj: dict) -> tuple[DelsarteCode, str | None]:
     if len(gens_raw) > m * n:
         raise InputError(
             f"field 'generators': {len(gens_raw)} generators exceed m*n = {m * n}")
-    gens = []
+    vectors = []
     for gi, g in enumerate(gens_raw):
         if not (isinstance(g, list) and len(g) == m
                 and all(isinstance(r, list) and len(r) == n for r in g)):
@@ -164,9 +163,9 @@ def parse_code_obj(obj: dict) -> tuple[DelsarteCode, str | None]:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < f.q:
                     raise InputError(
                         f"field 'generators[{gi}]': entry {v!r} outside GF({f.q})")
-        gens.append(Matrix(f, g, n))
-    try:
-        code = DelsarteCode.from_generators(f, m, n, gens)
+        vectors.append([v for row in g for v in row])
+    try:  # every entry is checked above: one construction, one reduction
+        code = DelsarteCode.from_generators(f, m, n, vectors)
     except ValueError as exc:
         raise InputError(f"field 'generators': {exc}") from None
     label = obj.get("label")

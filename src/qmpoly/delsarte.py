@@ -84,7 +84,7 @@ class DelsarteCode:
 
     @classmethod
     def from_generators(cls, field: GF, m: int, n: int,
-                        mats: Sequence[Matrix]) -> DelsarteCode:
+                        mats: Sequence[Matrix | Sequence[int]]) -> DelsarteCode:
         """Like span, but the generators must be linearly independent."""
         code = cls.span(field, m, n, mats)
         if code.dim != len(mats):
@@ -160,16 +160,6 @@ def support_space(x: Subspace, m: int) -> DelsarteCode:
     rows = tuple((0,) * (i * n) + b + (0,) * ((m - 1 - i) * n)
                  for i in range(m) for b in x.basis)
     return DelsarteCode._of(Subspace._from_rref(x.field, m * n, rows), m, n)
-
-
-def subcode(code: DelsarteCode, x: Subspace) -> DelsarteCode:
-    """The matrices of the code whose row space lies in x."""
-    if code.field != x.field or code.ncols != x.n:
-        raise ValueError("subspace ambient does not match code columns")
-    if x.dim == x.n:
-        return code
-    return DelsarteCode._of(code.space & support_space(x, code.nrows).space,
-                            code.nrows, code.ncols)
 
 
 def subcode_dims(code: DelsarteCode,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import accumulate, chain, repeat
 
 from .errors import check_guard
 
@@ -178,10 +179,11 @@ class GF:
         for i, a in enumerate(self._exp):
             self._log[a] = i
         self.slot_log = self._log if same else dict(zip(powers, range(q)))
+        self.packed: dict = {}  # k -> PackedRows(self, k), by matrix.packed_rows
 
     def _raw_mul(self, a: int, b: int) -> int:
         # Direct polynomial product mod the modulus; only the order tests
-        # and the chunk tables of `_slot_powers` use it.
+        # and the digit images of `_slot_powers` use it.
         if self.e == 1:
             return (a * b) % self.p
         p = self.p
@@ -201,7 +203,8 @@ class GF:
         dividing q - 1.  x -> x*g is GF(p)-linear, so the slot of x*g is
         the slot-wise sum of the images of x's chunks of c digits (p^c <=
         256, or one digit), each read off a table of the chunk's values
-        times g."""
+        times g.  The tables are built the same way, by slot-wise adds of
+        the images p^d * g of the e digit positions."""
         p = self.p
         e = self.e
         q = self.q
@@ -212,10 +215,16 @@ class GF:
         mask = (1 << c * self.digit) - 1
         slot = self.slot
         add = self._slot_add
-        tables = [(lo * self.digit,
-                   {slot[v]: slot[self._raw_mul(v * p ** lo, g)]
-                    for v in range(p ** min(c, e - lo))})
-                  for lo in range(0, e, c)]
+        images = [slot[self._raw_mul(p ** d, g)] for d in range(e)]
+        tables = []
+        for lo in range(0, e, c):
+            values = [0]  # values[v] is the slot of v * p^lo * g
+            for image in images[lo:lo + c]:
+                # the values so far plus j * image, for j = 0 .. p - 1
+                values = list(chain.from_iterable(zip(*(
+                    accumulate(repeat(image, p - 1), add, initial=x)
+                    for x in values))))
+            tables.append((lo * self.digit, dict(zip(slot, values))))
         (_, first), *rest = tables
         powers = [1]
         for _ in range(q - 2):
@@ -227,8 +236,10 @@ class GF:
         return powers
 
     def _raw_pow(self, a: int, k: int) -> int:
-        return 1 if k == 0 else self._raw_mul(
-            self._raw_pow(self._raw_mul(a, a), k >> 1), a if k & 1 else 1)
+        if k == 0:
+            return 1
+        half = self._raw_pow(self._raw_mul(a, a), k >> 1)
+        return self._raw_mul(half, a) if k & 1 else half
 
     # -- arithmetic ---------------------------------------------------
 

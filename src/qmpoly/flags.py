@@ -18,10 +18,10 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Sequence
 
-from .delsarte import (DelsarteCode, random_code, random_subcode, subcode,
+from .delsarte import (DelsarteCode, random_code, random_subcode,
                        to_polymatroid, trace_dual)
 from .field import GF
-from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
+from .lattice import SubspaceLattice, enumerate_subspaces
 from .polymatroid import (PolymatroidTable, WeightProfile, conullity_table,
                           generalized_weights)
 
@@ -114,21 +114,6 @@ def flag_polymatroid(flag: Flag,
     tables = [to_polymatroid(c, lat).values for c in flag.codes]
     vals = [sum(col[0::2]) - sum(col[1::2]) for col in zip(*tables)]
     return PolymatroidTable(lat, m, vals)
-
-
-def flag_conullity(flag: Flag, x: Subspace) -> int:
-    """Alternating sum of the supported subcode dimensions at x.
-
-    Always nonnegative for a genuine flag; a negative value would be an
-    internal error, not bad input.
-    """
-    if flag.field != x.field or flag.shape[1] != x.n:
-        raise ValueError("subspace ambient does not match flag columns")
-    acc = 0
-    for i, c in enumerate(flag.codes):
-        acc += (-1) ** i * subcode(c, x).dim
-    assert acc >= 0, "alternating subcode dimensions went negative"
-    return acc
 
 
 def flag_weights(flag: Flag,

@@ -5,8 +5,6 @@ lattice is built from, and vectors of GF(q)^k packed into one int each
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .field import GF, slot_ops
 
 
@@ -209,8 +207,8 @@ class PackedRows:
     (`GF.slot`), whose values rise with the elements, so ints compare as
     their coordinates do.  `add` and `sub` are `field.slot_ops` on k
     slots; `times` scales through the field's slot tables, with no `GF`
-    call.  An instance keeps only what depends on k; one per (field, k):
-    `packed_rows`.
+    call.  An instance keeps only what depends on k; one per (field
+    instance, k): `packed_rows`.
     """
 
     __slots__ = ("field", "width", "mask", "add", "sub", "_shifts")
@@ -266,10 +264,13 @@ class PackedRows:
         return tuple(kept[j] for j in sorted(kept, reverse=True))
 
 
-@lru_cache(maxsize=None)
 def packed_rows(F: GF, k: int) -> PackedRows:
-    """The shared `PackedRows` of GF(q)^k."""
-    return PackedRows(F, k)
+    """The `PackedRows` of GF(q)^k on F itself, built once per (F, k) and
+    kept on F."""
+    rows = F.packed.get(k)
+    if rows is None:
+        rows = F.packed[k] = PackedRows(F, k)
+    return rows
 
 
 def orthogonal_rows(packed: PackedRows, rows) -> tuple[int, ...]:

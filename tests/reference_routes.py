@@ -14,9 +14,13 @@
   by walking the whole cycle of each candidate generator.
 - `digit_add` and `digit_neg`: GF(p^e) addition and negation digit by
   digit, mod p.
+- `subcode` and `flag_conullity`: the supported subcode at one subspace
+  as a Zassenhaus intersection (`Subspace.__and__`) of the code with the
+  support space, and the flag's alternating sum of their dimensions.
 
 The library builds the same objects from coordinate tables, row lists,
-packed rows, order tests and slot-wise adds.
+packed rows, order tests and slot-wise adds, and reads every supported
+subcode dimension off the one rank table (`subcode_dims`).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from qmpoly import DelsarteCode, GF, Matrix, Subspace, field
+from qmpoly import DelsarteCode, GF, Matrix, Subspace, field, support_space
 from qmpoly.field import _digits, _undigits
 from qmpoly.matrix import rref_rows
 
@@ -189,3 +193,25 @@ def digit_add(f: GF, a: int, b: int) -> int:
 def digit_neg(f: GF, a: int) -> int:
     """-a, each base-p digit negated mod p."""
     return _undigits([-x % f.p for x in _digits(a, f.p, f.e)], f.p)
+
+
+def subcode(code: DelsarteCode, x: Subspace) -> DelsarteCode:
+    """The matrices of the code whose row space lies in x."""
+    if code.field != x.field or code.ncols != x.n:
+        raise ValueError("subspace ambient does not match code columns")
+    if x.dim == x.n:
+        return code
+    return DelsarteCode._of(code.space & support_space(x, code.nrows).space,
+                            code.nrows, code.ncols)
+
+
+def flag_conullity(flag, x: Subspace) -> int:
+    """Alternating sum of the supported subcode dimensions at x; never
+    negative for a genuine flag."""
+    if flag.field != x.field or flag.shape[1] != x.n:
+        raise ValueError("subspace ambient does not match flag columns")
+    acc = 0
+    for i, c in enumerate(flag.codes):
+        acc += (-1) ** i * subcode(c, x).dim
+    assert acc >= 0, "alternating subcode dimensions went negative"
+    return acc

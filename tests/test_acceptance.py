@@ -15,13 +15,13 @@ import pytest
 
 from qmpoly import (Flag, Subspace, Verdict, anticode_gap_search,
                     anticode_weights, check_axioms, code_weights,
-                    enumerate_subspaces, flag_conullity, flag_polymatroid,
-                    flag_weights, gabidulin, gaussian_binomial,
-                    generalized_weights, intersection_demipolymatroid,
-                    is_mrd, min_rank_distance, nullity_profiles,
-                    nullity_table, random_code, random_flag, subcode_dims,
-                    support_space, to_polymatroid, trace_dual, uniform,
-                    wei_duality_report)
+                    enumerate_subspaces, flag_polymatroid, flag_weights,
+                    gabidulin, gaussian_binomial, generalized_weights,
+                    intersection_demipolymatroid, is_mrd, min_rank_distance,
+                    nullity_profiles, nullity_table, random_code, random_flag,
+                    subcode_dims, support_space, to_polymatroid, trace_dual,
+                    uniform, wei_duality_report)
+from reference_routes import flag_conullity
 
 SHAPES = [(2, 2), (3, 2), (3, 3), (4, 3)]
 FLAG_SHAPES = [(2, 2), (3, 2), (3, 3)]

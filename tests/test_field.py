@@ -114,9 +114,6 @@ def test_addition_matches_the_digit_loops(p, e):
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 4), (3, 1), (3, 2), (5, 3)])
 def test_packed_rows_share_the_field_slot_tables(p, e):
     # Packed rows of every length read the tables the field built once.
-    # The cache is keyed by field equality, so an equal field built apart
-    # by an earlier test may hold the entry: start from an empty cache.
-    packed_rows.cache_clear()
     f = field(p, e)
     short, long = packed_rows(f, 2), packed_rows(f, 7)
     assert short.field is long.field is f
@@ -125,6 +122,17 @@ def test_packed_rows_share_the_field_slot_tables(p, e):
     assert f.slot_exp == [f.slot[a] for a in f._exp] * 2
     assert all(f.element_of[f.slot[a]] == a for a in f.elements())
     assert all(f.slot_log[f.slot[a]] == f._log[a] for a in range(1, f.q))
+
+
+def test_packed_rows_are_built_on_the_field_they_are_asked_for():
+    # An equal field built apart gets rows on itself, not on the first
+    # field that asked for that length.
+    packed_rows(field(3, 2), 3)
+    g = GF(3, 2)
+    rows = packed_rows(g, 3)
+    assert rows.field is g and rows is packed_rows(g, 3)
+    assert rows.field.slot_exp is g.slot_exp
+    assert packed_rows(field(3, 2), 3).field is field(3, 2)
 
 
 def test_powers():

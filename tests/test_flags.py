@@ -4,12 +4,12 @@ import pytest
 
 from qmpoly import (DelsarteCode, Flag, NestingError, NormalizedFlag,
                     Subspace, Verdict, check_axioms, code_weights, dual_flag,
-                    enumerate_subspaces, flag_conullity, flag_polymatroid,
-                    flag_weights, generalized_weights, normalize_flag,
-                    random_code, random_flag, random_subcode,
-                    relative_weights, residue_partition, subcode,
-                    support_space, to_polymatroid, trace_dual,
-                    verify_flag_duality)
+                    enumerate_subspaces, flag_polymatroid, flag_weights,
+                    generalized_weights, normalize_flag, random_code,
+                    random_flag, random_subcode, relative_weights,
+                    residue_partition, support_space, to_polymatroid,
+                    trace_dual, verify_flag_duality)
+from reference_routes import flag_conullity, subcode
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ from qmpoly import (DelsarteCode, Matrix, PolymatroidTable, Subspace, WeiReport,
                     nullity_profiles, nullity_table, uniform,
                     wei_duality_report, weight_witnesses)
 from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
-                        InputError, load_input, main)
+                        InputError, load_input, main, parse_code_obj)
 from qmpoly.errors import GuardExceeded
 from qmpoly.matrix import packed_rows, rref_rows
 
@@ -60,6 +60,39 @@ def code_objects(draw):
     if draw(st.integers(0, 3)) == 0:
         obj["q"] = draw(st.integers(1, 9))
     return obj
+
+
+@st.composite
+def generator_lines(draw):
+    """Valid code lines over SMALL_FIELDS, at most 2x3, with at most m*n
+    generators; the last of two or more is often a repeat of the first."""
+    p, e = draw(st.sampled_from(SMALL_FIELDS))
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    entry = st.integers(0, field(p, e).q - 1)
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=m, max_size=m)
+    gens = draw(st.lists(matrix, max_size=m * n))
+    if len(gens) >= 2 and draw(st.booleans()):
+        gens[-1] = gens[0]
+    return {"p": p, "e": e, "m": m, "n": n, "generators": gens}
+
+
+@SETTINGS
+@given(generator_lines())
+def test_a_parsed_code_line_is_the_code_of_its_generators(obj):
+    f, m, n = field(obj["p"], obj["e"]), obj["m"], obj["n"]
+    mats = [Matrix(f, g, n) for g in obj["generators"]]
+    try:
+        expected = DelsarteCode.from_generators(f, m, n, mats)
+    except ValueError:
+        expected = None
+    try:
+        code, _ = parse_code_obj(obj)
+    except InputError as exc:
+        assert expected is None
+        assert str(exc) == "field 'generators': generators are linearly dependent"
+    else:
+        assert code == expected and code.basis == expected.basis
 
 
 @st.composite
