@@ -46,7 +46,7 @@ from typing import NamedTuple
 from .delsarte import (DelsarteCode, anticode_weights, gabidulin,
                        random_code, support_space, to_polymatroid)
 from .errors import GuardExceeded, check_guard
-from .field import GF, check_order, field, is_prime
+from .field import GF, _prime_divisors, check_order, field, is_prime
 from .flags import Flag, flag_polymatroid, random_flag, verify_flag_duality
 from .lattice import (DEFAULT_SUBSPACE_GUARD, LATTICE_MEMBERS, Subspace,
                       check_mask_bits, checked_lattice_size,
@@ -78,22 +78,12 @@ class InputError(ValueError):
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+    primes = _prime_divisors(q)
+    if len(primes) != 1:
         raise InputError(f"field order {q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    e = 0
-    rem = q
-    while rem % p == 0:
-        rem //= p
+    p, e = primes[0], 1
+    while p ** e < q:
         e += 1
-    if rem != 1:
-        raise InputError(f"field order {q} is not a prime power")
     return p, e
 
 

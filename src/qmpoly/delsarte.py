@@ -15,14 +15,15 @@ complement.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import check_guard
 from .field import GF, _digits, field
 from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
 from .matrix import Matrix, in_row_space, packed_rows, rref_rows
-from .polymatroid import (PolymatroidTable, WeightProfile, conullity_table,
-                          generalized_weights)
+from .polymatroid import (PolymatroidTable, WeightProfile, _first_reaching,
+                          conullity_table, generalized_weights)
 
 DEFAULT_CODEWORD_GUARD = 1 << 20
 
@@ -285,11 +286,19 @@ def transpose_code(code: DelsarteCode) -> DelsarteCode:
 
 def code_weights(code: DelsarteCode,
                  lattice: SubspaceLattice | None = None) -> WeightProfile:
-    """Generalized weights d_r = min { dim X : dim C(X) >= r }, read
-    from the conullity of the code's rank table."""
+    """Generalized weights d_r = min { dim X : dim C(X) >= r }, read off
+    the per-dimension maxima of the supported subcode dimensions, which
+    are the conullity profile of the code's rank table; the table
+    itself is not built."""
     if code.dim == 0:
         raise ValueError("zero code has no weights")
-    return generalized_weights(to_polymatroid(code, lattice))
+    lat = lattice if lattice is not None else enumerate_subspaces(
+        code.field, code.ncols)
+    sub, dims = subcode_dims(code, lat), lat.dims
+    profile = [max(sub[bisect_left(dims, x):bisect_right(dims, x)])
+               for x in range(lat.n + 1)]
+    (values,) = _first_reaching((profile, code.dim))
+    return WeightProfile(code.dim, values)
 
 
 def anticode_weights(code: DelsarteCode,
@@ -297,13 +306,16 @@ def anticode_weights(code: DelsarteCode,
     """Anticode-based weights, via the shape-dependent reduction:
 
       m > n : equal to the code's own weights
-      m = n : the weights of `transpose_min_polymatroid`, the pointwise
-              min of the code's and its transpose's weights
+      m = n : the weights of `transpose_min_polymatroid`, which are the
+              pointwise min of the code's and its transpose's weights
       m < n : the transposed code's weights (computed on its own,
               wider-row side, where values range in 1..m)
 
-    `table` is the code's own table, built here when a shape needs it
-    and it is not given.
+    The min table's conullity at X is the larger of the two codes'
+    (both have dimension K), so its profile is the larger of theirs,
+    and r is first reached where either profile first reaches it; the
+    min table is not built.  `table` is the code's own table, read when
+    given; no rank table is built here.
     """
     if code.dim == 0:
         raise ValueError("zero code has no weights")
@@ -311,10 +323,13 @@ def anticode_weights(code: DelsarteCode,
     if m < n:
         return code_weights(transpose_code(code))
     if table is None:
-        table = to_polymatroid(code)
-    if m == n:
-        table = _min_with_transpose(code, table)
-    return generalized_weights(table)
+        own, lat = code_weights(code), None
+    else:
+        own, lat = generalized_weights(table), table.lattice
+    if m > n:
+        return own
+    other = code_weights(transpose_code(code), lat)
+    return WeightProfile(own.rank, tuple(map(min, own.values, other.values)))
 
 
 def transpose_min_polymatroid(
@@ -323,18 +338,13 @@ def transpose_min_polymatroid(
     """For square shapes, the pointwise min of the rank tables of the
     code and its transpose.  A demi-polymatroid whose conullity is the
     max of the two subcode dimensions, so its weights are the pointwise
-    min of the two profiles."""
+    min of the two profiles (`anticode_weights` reads them so)."""
     if code.nrows != code.ncols:
         raise ValueError("defined for square matrix codes only")
-    return _min_with_transpose(code, to_polymatroid(code, lattice))
-
-
-def _min_with_transpose(code: DelsarteCode,
-                        table: PolymatroidTable) -> PolymatroidTable:
-    # `table` is the square code's own table.
+    table = to_polymatroid(code, lattice)
     other = to_polymatroid(transpose_code(code), table.lattice)
-    vals = [min(a, b) for a, b in zip(table.values, other.values)]
-    return PolymatroidTable(table.lattice, code.nrows, vals)
+    return PolymatroidTable(table.lattice, code.nrows,
+                            [min(a, b) for a, b in zip(table.values, other.values)])
 
 
 def _block_table(spaces: Sequence[Subspace], weights: Sequence[int],

@@ -34,15 +34,25 @@ DEFAULT_MAX_ORDER = 1 << 16
 ORDER_BITS = 1 << 20
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, in increasing order, by trial
+    division up to the square root of the part not yet divided out;
+    the module's one trial division.  Empty for n < 2."""
+    primes = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            primes.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def is_prime(n: int) -> bool:
+    return _prime_divisors(n) == [n]
 
 
 def check_order(p: int, e: int) -> None:
@@ -208,7 +218,7 @@ class GF:
         p = self.p
         e = self.e
         q = self.q
-        primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+        primes = _prime_divisors(q - 1)
         g = next(g for g in range(1, q)
                  if all(self._raw_pow(g, (q - 1) // r) != 1 for r in primes))
         c = max(c for c in range(1, e + 1) if p ** c <= 256 or c == 1)

@@ -22,7 +22,8 @@ from .delsarte import (DelsarteCode, random_code, random_subcode,
                        to_polymatroid, trace_dual)
 from .field import GF
 from .lattice import SubspaceLattice, enumerate_subspaces
-from .polymatroid import (PolymatroidTable, WeightProfile, conullity_table,
+from .polymatroid import (PolymatroidTable, WeightProfile,
+                          _weights_and_dual_weights, conullity_table,
                           generalized_weights)
 
 
@@ -189,15 +190,15 @@ def relative_weights(outer: DelsarteCode,
     The dual side reads min { dim X : m*dim X - dim inner_dual(X)
     + dim outer_dual(X) >= r } for r up to m*n - (dim outer - dim inner).
     Since dim C_dual(X) = m*dim X - dim C + dim C(X_perp), that is the
-    conullity of the pair table's dual, so both profiles come from one
-    table.  The pair satisfies the m-fold partition with rank
-    K = dim outer - dim inner.
+    conullity of the pair table's dual, which is read off the table's
+    nullity profile h, as in the Wei report: both profiles come from
+    one table, and its dual is not built.  The pair satisfies the
+    m-fold partition with rank K = dim outer - dim inner.
     """
     if not (inner.is_subcode_of(outer) and inner.dim < outer.dim):
         raise ValueError("containment must be strict")
     table = flag_polymatroid(Flag((outer, inner)), lattice)
-    return RelativeWeights(generalized_weights(table),
-                           generalized_weights(table.dual()))
+    return RelativeWeights(*_weights_and_dual_weights(table))
 
 
 def random_flag(f: GF, m: int, n: int, length: int,

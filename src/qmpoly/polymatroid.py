@@ -14,8 +14,11 @@ with a polymatroid requiring R1-R3 and a demi-polymatroid R1, R2, R4.
 The r-th generalized weight of a table of rank K is the least dimension
 of a subspace whose conullity rho(E) - rho(X_perp) reaches r, and the
 m-fold Wei duality machinery below verifies how the weights of a table
-and of its dual partition {1..n} residue class by residue class.  This
-module is table algebra only; tables of codes come from `delsarte`.
+and of its dual partition {1..n} residue class by residue class.  Every
+weight is read by one helper off a per-dimension profile: the table's
+conullity profile, or rho(0) plus its nullity profile for the dual, so
+no weight needs the dual table.  This module is table algebra only;
+tables of codes come from `delsarte`.
 
 Result records are named tuples, except `WeightProfile`, whose `len`
 and iteration run over its values; none of them needs `dataclasses`,
@@ -188,7 +191,8 @@ class PolymatroidTable:
         """Pointwise rho*(X) = rho(X_perp) + m*dim X - rho(E).
 
         Built on the first call and kept, since the table never changes
-        and the axiom scan, the Wei report and flag duality each read it.
+        and both the axiom scan (R4) and flag duality read it.  The dual's
+        weights need no dual table: see `wei_duality_report`.
         """
         if self._dual is None:
             lat, m, k, vals = self.lattice, self.m, self.rank, self.values
@@ -402,60 +406,90 @@ def nullity_profiles(table: PolymatroidTable) -> NullityProfiles:
                            tuple([k - low[n - x] for x in range(n + 1)]))
 
 
+def _first_reaching(*sides: tuple[Sequence[int], int]) -> list[tuple[int, ...]]:
+    """Per side (profile, count), d_r = min { x : profile[x] >= r } for
+    r = 1 .. count.
+
+    The profiles here are per-dimension maxima of a conullity, so a
+    weight is the first dimension where one reaches r.  Every side is
+    checked before any is listed, since a count is unbounded on a table
+    that breaks the axioms: a negative count, or one above the profile's
+    largest value, fails the call.  On such a table a profile may also
+    fall back as x grows; d_r is still the first x that reaches r.
+    """
+    for profile, count in sides:
+        if count < 0:
+            raise ValueError("negative rank; table violates the axioms")
+        top = max(profile)
+        if count > top:
+            raise ValueError(f"conullity never reaches {top + 1}; "
+                             "table violates the axioms")
+    out = []
+    for profile, count in sides:
+        values: list[int] = []
+        for x, reach in enumerate(profile):
+            if reach > len(values):
+                values += [x] * (min(reach, count) - len(values))
+                if len(values) == count:
+                    break
+        out.append(tuple(values))
+    return out
+
+
 def generalized_weights(table: PolymatroidTable) -> WeightProfile:
-    """d_r = min { dim X : conullity(X) >= r } for r = 1 .. rank.
+    """d_r = min { dim X : conullity(X) >= r } for r = 1 .. rank, read
+    off the conullity profile (see `nullity_profiles`).
 
     A rank-0 table yields the empty profile.  If some r <= rank is
     never reached the table breaks the rank axioms and the call fails.
     """
-    dims = table.lattice.dims
-    return WeightProfile(table.rank,
-                         tuple([dims[i] for i in weight_witnesses(table)]))
+    k = table.rank
+    (values,) = _first_reaching((nullity_profiles(table).conullity, k))
+    return WeightProfile(k, values)
+
+
+def _weights_and_dual_weights(
+        table: PolymatroidTable) -> tuple[WeightProfile, WeightProfile]:
+    """The weights of the table and of its dual, off one
+    `nullity_profiles` call and without building the dual table.
+
+    The dual's conullity at X is rho*(E) - rho*(X_perp)
+    = rho(0) + m*dim X - rho(X), that is rho(0) plus the nullity at X,
+    so its profile is rho(0) + h[x]; its rank is
+    rho*(E) = rho(0) + m*n - rho(E).  The primal side fails first.
+    """
+    prof = nullity_profiles(table)
+    lat, vals = table.lattice, table.values
+    k, rho0 = vals[-1], vals[0]
+    dual_rank = rho0 + table.m * lat.n - k
+    values, dual_values = _first_reaching(
+        (prof.conullity, k), ([rho0 + h for h in prof.nullity], dual_rank))
+    return WeightProfile(k, values), WeightProfile(dual_rank, dual_values)
 
 
 def weight_witnesses(table: PolymatroidTable) -> tuple[int, ...]:
     """For each r = 1 .. rank, the first lattice index whose conullity
     reaches r.
 
-    Members are ordered by dimension, so that index has dimension d_r.
-    It never decreases in r, so one pass over the lattice finds all:
-    `need` counts the r found so far, and each member costs one
-    subtraction and one compare against it; only a member whose
-    conullity exceeds `need` extends the output (capped at the rank).
+    Members are ordered by dimension, so that index lies in the block
+    of dimension d_r, and it never decreases in r.  So only the block of
+    d_r is scanned, from the previous witness when it lies in the same
+    block; a member whose conullity c reaches r is the witness of every
+    r up to c (capped at the rank), and each member costs one
+    subtraction and one compare.
     """
-    _check_weights_exist(table)
-    k = table.rank
-    if k == 0:
-        return ()
-    vals = table.values
+    weights = generalized_weights(table).values
+    lat, vals = table.lattice, table.values
+    dims, comp, k = lat.dims, lat.complements, vals[-1]
     out: list[int] = []
-    need = 0
-    for i, c in enumerate(table.lattice.complements):
-        co = k - vals[c]
-        if co > need:
-            co = min(co, k)
-            out += [i] * (co - need)
-            need = co
-            if need == k:
-                break
+    i = 0
+    while len(out) < k:
+        r = len(out) + 1
+        i = max(i, bisect_left(dims, weights[r - 1]))
+        while k - vals[comp[i]] < r:
+            i += 1
+        out += [i] * (min(k - vals[comp[i]], k) - r + 1)
     return tuple(out)
-
-
-def _check_weights_exist(table: PolymatroidTable) -> None:
-    """Raise the ValueError for a table whose weights do not exist, in
-    O(N) and before any of its rank-many weights is listed.
-
-    The conullity reaches r exactly where some value is at most
-    rank - r, so every r <= rank is reached unless the rank is negative,
-    or positive with every value positive; the largest r reached is
-    then rank - min(values), which is >= 0 since the rank is a value."""
-    k = table.rank
-    if k < 0:
-        raise ValueError("negative rank; table violates the axioms")
-    low = min(table.values)
-    if k > 0 and low > 0:
-        raise ValueError(f"conullity never reaches {k - low + 1}; "
-                         "table violates the axioms")
 
 
 def residue_partition(n: int, m: int, rank: int,
@@ -495,27 +529,22 @@ def wei_duality_report(table: PolymatroidTable) -> WeiReport:
     """Compute the weights of the table and of its dual and check the
     m-fold duality: per-residue partitions of {1..n}, the pairwise
     non-collision of dual weights with reflected primal weights, and
-    the strict d_r < d_{r+m} gaps on both sides.  The report carries
-    the primal weights' witnesses (see weight_witnesses)."""
+    the strict d_r < d_{r+m} gaps on both sides.  Both profiles come
+    off the table's nullity profiles; the dual table is not built.  The
+    report carries the primal weights' witnesses (see weight_witnesses).
+    """
     n = table.lattice.n
     m = table.m
     k = table.rank
-    dual = table.dual()
-    # The primal profile has rank-many entries, unbounded on a table
-    # that breaks the axioms; fail on either side before listing it.
-    _check_weights_exist(table)
-    _check_weights_exist(dual)
+    weights, dual_weights = _weights_and_dual_weights(table)
     witnesses = weight_witnesses(table)
-    dims = table.lattice.dims
-    weights = WeightProfile(k, tuple([dims[i] for i in witnesses]))
-    dual_weights = generalized_weights(dual)
 
     residues, partition_ok = residue_partition(n, m, k, weights, dual_weights)
 
     disjoint_ok = all(r.dual_side.isdisjoint(r.primal_side) for r in residues)
     gaps_ok = _monotone_gaps_ok(weights, m) and _monotone_gaps_ok(dual_weights, m)
 
-    return WeiReport(n=n, m=m, rank=k, dual_rank=dual.rank,
+    return WeiReport(n=n, m=m, rank=k, dual_rank=dual_weights.rank,
                      weights=weights, dual_weights=dual_weights,
                      witnesses=witnesses, residues=residues,
                      partition_ok=partition_ok, disjoint_ok=disjoint_ok,

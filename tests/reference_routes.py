@@ -17,10 +17,15 @@
 - `subcode` and `flag_conullity`: the supported subcode at one subspace
   as a Zassenhaus intersection (`Subspace.__and__`) of the code with the
   support space, and the flag's alternating sum of their dimensions.
+- `member_witnesses`, `dual_table_report` and `min_table_anticode_weights`:
+  the weight witnesses by one pass over every member, the Wei report on
+  the weights of the built dual table, and square anticode weights read
+  off the built transpose-min table.
 
 The library builds the same objects from coordinate tables, row lists,
-packed rows, order tests and slot-wise adds, and reads every supported
-subcode dimension off the one rank table (`subcode_dims`).
+packed rows, order tests and slot-wise adds, reads every supported
+subcode dimension off the one rank table (`subcode_dims`), and reads
+every weight off a per-dimension profile, with no dual or min table.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from qmpoly import DelsarteCode, GF, Matrix, Subspace, field, support_space
+from qmpoly import (DelsarteCode, GF, Matrix, Subspace, WeightProfile,
+                    WeiReport, field, residue_partition, support_space,
+                    to_polymatroid, transpose_code, transpose_min_polymatroid)
 from qmpoly.field import _digits, _undigits
 from qmpoly.matrix import rref_rows
 
@@ -215,3 +222,77 @@ def flag_conullity(flag, x: Subspace) -> int:
         acc += (-1) ** i * subcode(c, x).dim
     assert acc >= 0, "alternating subcode dimensions went negative"
     return acc
+
+
+def _check_weights_exist(table) -> None:
+    """The ValueError of a table without weights, before any is listed:
+    the conullity reaches r exactly where some value is at most
+    rank - r, so the largest r reached is rank - min(values)."""
+    k = table.rank
+    if k < 0:
+        raise ValueError("negative rank; table violates the axioms")
+    low = min(table.values)
+    if k > 0 and low > 0:
+        raise ValueError(f"conullity never reaches {k - low + 1}; "
+                         "table violates the axioms")
+
+
+def member_witnesses(table) -> tuple[int, ...]:
+    """For each r = 1 .. rank, the first lattice index whose conullity
+    reaches r, in one pass over the members in lattice order."""
+    _check_weights_exist(table)
+    k = table.rank
+    if k == 0:
+        return ()
+    vals = table.values
+    out: list[int] = []
+    need = 0
+    for i, c in enumerate(table.lattice.complements):
+        co = k - vals[c]
+        if co > need:
+            co = min(co, k)
+            out += [i] * (co - need)
+            need = co
+            if need == k:
+                break
+    return tuple(out)
+
+
+def member_weights(table) -> WeightProfile:
+    dims = table.lattice.dims
+    return WeightProfile(table.rank,
+                         tuple(dims[i] for i in member_witnesses(table)))
+
+
+def dual_table_report(table) -> WeiReport:
+    """The Wei report with the dual's weights read off the dual table;
+    both sides are checked before either is listed."""
+    n, m, k = table.lattice.n, table.m, table.rank
+    dual = table.dual()
+    _check_weights_exist(table)
+    _check_weights_exist(dual)
+    witnesses = member_witnesses(table)
+    weights = member_weights(table)
+    dual_weights = member_weights(dual)
+    residues, partition_ok = residue_partition(n, m, k, weights, dual_weights)
+    gaps = all(p.values[r - 1] < p.values[r + m - 1]
+               for p in (weights, dual_weights)
+               for r in range(1, p.rank - m + 1))
+    return WeiReport(n=n, m=m, rank=k, dual_rank=dual.rank,
+                     weights=weights, dual_weights=dual_weights,
+                     witnesses=witnesses, residues=residues,
+                     partition_ok=partition_ok,
+                     disjoint_ok=all(r.dual_side.isdisjoint(r.primal_side)
+                                     for r in residues),
+                     monotone_gaps_ok=gaps)
+
+
+def min_table_anticode_weights(code: DelsarteCode) -> WeightProfile:
+    """Anticode weights through built tables: the code's own (m > n),
+    its transpose's (m < n), or the transpose-min table's (m = n)."""
+    m, n = code.shape
+    if m > n:
+        return member_weights(to_polymatroid(code))
+    if m < n:
+        return member_weights(to_polymatroid(transpose_code(code)))
+    return member_weights(transpose_min_polymatroid(code))

@@ -101,27 +101,37 @@ def test_weights_gabidulin(tmp_path, capsys):
 
 def test_weights_report_builds_the_dual_and_scans_weights_once(
         tmp_path, capsys, monkeypatch):
-    # one table, one dual table; one weight scan on each
+    # one table and the dual table that R4 reads; one weight scan, on the
+    # table itself; the Wei report builds no table
     path = gen_gabidulin(tmp_path, capsys)
-    tables, scans = [], []
+    tables, scans, in_wei = [], [], []
     init = qmpoly.PolymatroidTable.__init__
     scan = qmpoly.polymatroid.weight_witnesses
+    wei = qmpoly.cli.wei_duality_report
 
     def counting_init(self, *args):
-        tables.append(args[1])
+        tables.append(bool(in_wei))
         init(self, *args)
 
     def counting_scan(table):
         scans.append(table.rank)
         return scan(table)
+
+    def marked_wei(table):
+        in_wei.append(True)
+        try:
+            return wei(table)
+        finally:
+            in_wei.pop()
     monkeypatch.setattr(qmpoly.PolymatroidTable, "__init__", counting_init)
     monkeypatch.setattr(qmpoly.polymatroid, "weight_witnesses", counting_scan)
     # counted also if the CLI binds the scan by name and calls it again
     monkeypatch.setattr(qmpoly.cli, "weight_witnesses", counting_scan,
                         raising=False)
+    monkeypatch.setattr(qmpoly.cli, "wei_duality_report", marked_wei)
     code, _, _ = run(capsys, "weights", str(path), "--format", "json")
     assert code == EXIT_OK
-    assert len(tables) == 2 and sorted(scans) == [3, 3]
+    assert tables == [False, False] and scans == [3]
 
 
 @pytest.mark.parametrize("command", ["weights", "verify"])
@@ -502,21 +512,29 @@ def test_weights_anticode_reuses_the_report_table(tmp_path, capsys,
                                                   monkeypatch, gf2, m, n,
                                                   tables):
     # the code's table is built once for the report; --anticode adds
-    # only the transpose's table where the shape needs it
-    calls = []
+    # only the transpose's subcode dimensions where the shape needs them,
+    # and no rank table: the report builds the code's table and the dual
+    # that R4 reads
+    calls, built = [], []
     dims = qmpoly.delsarte.subcode_dims
+    init = qmpoly.PolymatroidTable.__init__
 
     def counting(code, lattice):
         calls.append(code.shape)
         return dims(code, lattice)
+
+    def counting_init(self, *args):
+        built.append(args[1])
+        init(self, *args)
     monkeypatch.setattr(qmpoly.delsarte, "subcode_dims", counting)
+    monkeypatch.setattr(qmpoly.PolymatroidTable, "__init__", counting_init)
     code = qmpoly.random_code(gf2, m, n, 4, random.Random(m * n))
     path = tmp_path / "code.json"
     path.write_text(dump_code_lines([code]))
     status, out, _ = run(capsys, "weights", str(path), "--format", "json",
                          "--anticode")
     assert status == EXIT_OK
-    assert len(calls) == tables
+    assert len(calls) == tables and len(built) == 2
     assert json.loads(out)["a_weights"] == list(
         qmpoly.anticode_weights(code).values)
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,7 +6,9 @@ import pytest
 
 import reference_routes
 from qmpoly import GF, GuardExceeded, field
-from qmpoly.field import is_irreducible, smallest_irreducible
+from qmpoly.cli import InputError, _factor_prime_power
+from qmpoly.field import (_prime_divisors, is_irreducible, is_prime,
+                          smallest_irreducible)
 from qmpoly.matrix import packed_rows
 
 # fields with q <= 64 get the exhaustive axiom treatment
@@ -180,3 +183,40 @@ def test_primitive_element_by_order_tests_matches_the_cycle_walk(p, e):
     f = GF(p, e)
     assert f._exp == reference_routes.primitive_powers(f)
     assert [f._log[v] for v in f._exp] == list(range(f.q - 1))
+
+
+def test_prime_divisors_match_a_full_scan():
+    # every r in 2..n that divides n, its primality read off a sieve
+    sieve = [False, False] + [True] * 4999
+    for d in range(2, 71):
+        sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    for n in range(-2, 5001):
+        assert _prime_divisors(n) == [r for r in range(2, n + 1)
+                                      if n % r == 0 and sieve[r]], n
+    assert [n for n in range(-2, 5001) if is_prime(n)] == [
+        n for n in range(5001) if sieve[n]]
+
+
+def test_factor_prime_power_messages():
+    assert [_factor_prime_power(q) for q in (2, 4, 9, 65521, 65536, 3 ** 10)] \
+        == [(2, 1), (2, 2), (3, 2), (65521, 1), (2, 16), (3, 10)]
+    for q in (-4, 0, 1, 6, 12, 65535):
+        with pytest.raises(InputError) as exc:
+            _factor_prime_power(q)
+        assert str(exc.value) == f"field order {q} is not a prime power"
+
+
+# sha256 of repr((_exp, _log)), recorded when the primes of q - 1 were
+# still found by testing every r < q
+LARGE_FIELD_TABLES = {
+    (2, 16): "216b4855b507db62757a5f46a792bdc6",
+    (3, 10): "6ce1627d96c6a1addc554527c396d3ef",
+    (65521, 1): "10150f6dedf8c6089bdd3fbb04c823d5",
+}
+
+
+@pytest.mark.parametrize("p,e", sorted(LARGE_FIELD_TABLES))
+def test_large_field_tables_are_unchanged(p, e):
+    f = field(p, e)
+    digest = hashlib.sha256(repr((f._exp, f._log)).encode()).hexdigest()
+    assert digest[:32] == LARGE_FIELD_TABLES[p, e]

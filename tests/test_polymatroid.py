@@ -347,6 +347,44 @@ def test_weight_witnesses(gf2):
         assert all(t.conullity_at(i) < r for i in range(idx))
 
 
+def test_weight_routes_build_no_table(gf2, monkeypatch):
+    # Every weight is read off a profile: no dual, transpose-min or
+    # transpose table is built, and relative_weights builds only the
+    # pair flag's own table.
+    rng = random.Random(5)
+    codes = [qmpoly.random_code(gf2, m, n, k, rng)
+             for m, n, k in [(3, 3, 4), (2, 3, 3), (3, 2, 2), (2, 2, 1)]]
+    tables = [qmpoly.to_polymatroid(c) for c in codes]
+    inner = qmpoly.random_subcode(codes[0], 2, rng)
+    built, in_flag = [], []
+    init, flag_table = PolymatroidTable.__init__, qmpoly.flags.flag_polymatroid
+
+    def counting_init(self, *args):
+        if not in_flag:
+            built.append(args)
+        init(self, *args)
+
+    def marked_flag_table(*args):
+        in_flag.append(True)
+        try:
+            return flag_table(*args)
+        finally:
+            in_flag.pop()
+    monkeypatch.setattr(PolymatroidTable, "__init__", counting_init)
+    monkeypatch.setattr(PolymatroidTable, "dual",
+                        lambda self: pytest.fail("dual table built"))
+    monkeypatch.setattr(qmpoly.flags, "flag_polymatroid", marked_flag_table)
+    for c, t in zip(codes, tables):
+        generalized_weights(t)
+        wei_duality_report(t)
+        qmpoly.anticode_weights(c, t)
+        qmpoly.anticode_weights(c)
+        qmpoly.code_weights(c)
+    rel = qmpoly.relative_weights(codes[0], inner)
+    assert built == []
+    assert (rel.weights.rank, rel.dual_weights.rank) == (2, 3 * 3 - 2)
+
+
 def test_nullity_profiles_identity(gf2):
     rng = random.Random(9)
     lat = enumerate_subspaces(gf2, 3)

@@ -12,17 +12,21 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_routes
-from qmpoly import (DelsarteCode, Matrix, PolymatroidTable, Subspace, WeiReport,
-                    code_weights, conullity_table, devectorize,
-                    enumerate_subspaces, field, lattice_size, min_rank_distance,
-                    nullity_profiles, nullity_table, uniform,
-                    wei_duality_report, weight_witnesses)
+from qmpoly import (DelsarteCode, Flag, Matrix, PolymatroidTable, Subspace,
+                    WeiReport, anticode_weights, code_weights,
+                    conullity_table, devectorize, enumerate_subspaces, field,
+                    flag_polymatroid, generalized_weights, lattice_size,
+                    min_rank_distance, nullity_profiles, nullity_table,
+                    random_code, random_subcode, relative_weights,
+                    to_polymatroid, uniform, wei_duality_report,
+                    weight_witnesses)
 from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
                         InputError, load_input, main, parse_code_obj)
 from qmpoly.errors import GuardExceeded
@@ -221,6 +225,57 @@ def test_weight_scan_caps_conullities_above_the_rank():
     values = [-3] * (len(lat) - 1) + [4]
     table = PolymatroidTable(lat, 2, values)
     assert weight_witnesses(table) == reference_witnesses(table) == (1,) * 4
+
+
+# Tables whose rank and dual rank rho(0) + m*n - rho(E) stay bounded
+# wherever weights get listed: rho(0) and rho(E) are bounded above, and
+# a few other members take any integer.
+WEIGHT_LATTICES = [(2, 1, n) for n in range(6)] + [(3, 1, 3), (2, 2, 3),
+                                                    (5, 1, 2)]
+
+
+@st.composite
+def weight_tables(draw):
+    p, e, n = draw(st.sampled_from(WEIGHT_LATTICES))
+    lat = enumerate_subspaces(field(p, e), n)
+    m = draw(st.integers(1, 3))
+    small = st.integers(-2, m * n + 2)
+    values = draw(st.lists(small, min_size=len(lat), max_size=len(lat)))
+    for i, v in draw(st.lists(st.tuples(st.integers(0, len(lat) - 1),
+                                        st.integers()), max_size=3)):
+        values[i] = v
+    for i in {0, len(lat) - 1}:
+        values[i] = min(values[i], m * n + 2)
+    return PolymatroidTable(lat, m, values)
+
+
+@settings(SETTINGS, max_examples=500)
+@given(weight_tables(), st.integers(0, 2 ** 32), st.data())
+def test_weights_from_profiles_match_the_member_and_dual_table_routes(
+        table, seed, data):
+    assert (_outcome(generalized_weights, table)
+            == _outcome(reference_routes.member_weights, table))
+    assert (_outcome(weight_witnesses, table)
+            == _outcome(reference_routes.member_witnesses, table))
+    assert (_outcome(wei_duality_report, table)
+            == _outcome(reference_routes.dual_table_report, table))
+    lat, m = table.lattice, table.m
+    if lat.n == 0:
+        return
+    rng = random.Random(seed)
+    code = random_code(lat.field, m, lat.n,
+                       data.draw(st.integers(1, m * lat.n)), rng)
+    own = to_polymatroid(code, lat)
+    assert wei_duality_report(own) == reference_routes.dual_table_report(own)
+    assert code_weights(code, lat) == reference_routes.member_weights(own)
+    expected = reference_routes.min_table_anticode_weights(code)
+    assert anticode_weights(code) == anticode_weights(code, own) == expected
+    if code.dim > 1:
+        inner = random_subcode(code, rng.randrange(code.dim), rng)
+        pair = flag_polymatroid(Flag((code, inner)), lat)
+        assert relative_weights(code, inner, lat) == (
+            reference_routes.member_weights(pair),
+            reference_routes.member_weights(pair.dual()))
 
 
 # Per-member references for the table passes, written with nullity_at
