@@ -166,6 +166,10 @@ CASES += [
     # (verify --wei on the GF(2^16) one is a CI case; a report on either
     # stops at the point-mask guard), and a 2x1 code over GF(65521).
     ("weights-json-f26", ["weights", "f26.json", "--format", "json"], {}),
+    # JSON reports on GF(2)^6 and GF(2)^7 codes, whose witness rows
+    # come off the largest lattices the corpus builds.
+    ("weights-json-r36", ["weights", "r36.json", "--format", "json"], {}),
+    ("weights-json-r37", ["weights", "r37.json", "--format", "json"], {}),
     ("verify-json-f26", ["verify", "f26.json", "--format", "json"], {}),
     ("weights-w16", ["weights", "w16.json"], {}),
     ("weights-p65521", ["weights", "p65521.json"], {}),
