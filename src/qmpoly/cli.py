@@ -239,7 +239,7 @@ def load_input(path: str, guard: int):
 
 
 def _subspace_rows(lat, idx: int) -> list[list[int]]:
-    return [list(r) for r in lat.members[idx].basis]
+    return [list(r) for r in lat[idx].basis]
 
 
 def _wei_obj(report) -> dict:
@@ -411,12 +411,11 @@ def _verify_one(kind: str, obj, table, checks: list[str],
                 infos.append("wei: partition, disjointness and gaps hold")
             else:
                 failures.append({"check": "wei", **_wei_obj(wei)})
+        # The dual table's nullity at X is rho(E) - rho(X_perp), the
+        # conullity at X, so the two profiles agree; the dual table is
+        # built from the values by its own route.
         prof = nullity_profiles(table)
-        n, m, k = lat.n, table.m, table.rank
-        identity_ok = all(
-            prof.conullity[x] == prof.nullity[n - x] - m * (n - x) + k
-            for x in range(n + 1))
-        if identity_ok:
+        if nullity_profiles(table.dual()).nullity == prof.conullity:
             infos.append("wei: nullity/conullity profile identity holds")
         else:
             failures.append({"check": "wei",

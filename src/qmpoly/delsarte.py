@@ -201,13 +201,11 @@ def subcode_dims(code: DelsarteCode,
     if k == 0:
         return (0,) * len(lattice)
     F, m, n = code.field, code.nrows, code.ncols
-    n_points = lattice.dims.count(1)
-    points = [s.basis[0] for s in lattice.members[1:n_points + 1]]
     # Row p - 1 of the product holds G_i[r] . b at column i*m + r, for
     # the canonical basis row b of point p (lattice index p).
     gen_rows = Matrix(F, [vec[r * n:(r + 1) * n] for vec in code.basis
                           for r in range(m)], n)
-    prod = Matrix(F, points, n) @ gen_rows.transpose()
+    prod = Matrix(F, lattice.point_rows, n) @ gen_rows.transpose()
     packed = packed_rows(F, k)
     pack, sub, times, inverse = packed.pack, packed.sub, packed.times, packed.inverse
     width, mask = packed.width, packed.mask
@@ -222,8 +220,10 @@ def subcode_dims(code: DelsarteCode,
     ranks = [k] * len(lattice)
     ranks[0] = 0
     multiples: dict[tuple[int, int], int] = {}
-    for i, (parent, line) in enumerate(lattice.parents[1:], 1):
-        rank, new = ranks[parent], lines[line]
+    parent_of, line_of = lattice.parents
+    for i in range(1, len(lattice)):
+        parent = parent_of[i]
+        rank, new = ranks[parent], lines[line_of[i]]
         if rank == k or len(new) == k:
             continue
         basis = bases[parent][:]

@@ -1,16 +1,19 @@
 """The lattice of all subspaces of GF(q)^n.
 
-A subspace is represented by its canonical basis: the rows of its
-reduced row-echelon form, a tuple of row tuples.  The lattice is built
-on packed rows (`matrix.PackedRows`): enumeration walks pivot-column
-patterns and ORs the free entries into each row directly, so every
-canonical basis is produced exactly once and nothing needs
-deduplicating; the output size equals the answer size.
+A `Subspace` is held as its canonical basis: the rows of its reduced
+row-echelon form, a tuple of row tuples.  A `SubspaceLattice` holds
+each member as one int instead, its key: the packed rows
+(`matrix.PackedRows`) of the canonical basis concatenated, the first
+row highest.  Enumeration walks pivot-column patterns and ORs the free
+entries into each row directly, so every canonical basis is produced
+exactly once and nothing needs deduplicating; the output size equals
+the answer size.  `Subspace` objects of members are built only when
+asked for, one at a time.
 
 Lattice members are ordered by dimension and then lexicographically by
-the flattened canonical basis, which is the order of their packed rows
-as tuples of ints.  The order is stable across runs, so rank tables
-indexed by lattice position compare bit for bit.
+the flattened canonical basis, which is the order of their keys.  The
+order is stable across runs, so rank tables indexed by lattice
+position compare bit for bit.
 
 Pair operations on lattice indices work on point sets.  A subspace is
 the union of the projective points (1-dimensional subspaces) it
@@ -23,6 +26,7 @@ involution, and the sum is X + Y = (X_perp & Y_perp)_perp.
 from __future__ import annotations
 
 import itertools
+from array import array
 from functools import cached_property
 
 from .errors import check_guard
@@ -148,64 +152,115 @@ class Subspace:
         return f"Subspace({self.field!r}, n={self.n}, dim={self.dim}, rows={list(map(list, self.basis))})"
 
 
-def _members(field: GF, n: int) -> tuple[list, tuple[Subspace, ...]]:
-    """The canonical bases as tuples of packed rows, in lattice order,
-    and their members.  A pivot pattern's bases are the product of its
-    rows' lists: the pivot 1 OR'd with every filling of the free entries."""
-    packed = packed_rows(field, n)
-    width, keys = packed.width, []
+def _split(key: int, bits: int) -> list[int]:
+    """The packed rows of a member's key, first row first; no row of a
+    canonical basis is zero, so the key ends where its rows do."""
+    rows, low = [], (1 << bits) - 1
+    while key:
+        rows.append(key & low)
+        key >>= bits
+    rows.reverse()
+    return rows
+
+
+def _join(rows, bits: int) -> int:
+    """The key of packed canonical basis rows, first row highest."""
+    key = 0
+    for r in rows:
+        key = key << bits | r
+    return key
+
+
+def _member_keys(field: GF, n: int) -> tuple[list[int], list[int]]:
+    """Every member's key in lattice order, and the number of members
+    of each dimension.  A pivot pattern's bases are the product of its
+    rows' lists: the pivot 1 OR'd with every filling of the free
+    entries; each basis is folded into its key row by row."""
+    width = packed_rows(field, n).width
+    bits = n * width
+    keys, counts = [], []
     for d in range(n + 1):
-        block = []
+        start = len(keys)
         for pivots in itertools.combinations(range(n), d):
             lists = [[1 << (n - 1 - c) * width] for c in pivots]
             for c, rows in zip(pivots, lists):
                 for j in set(range(c + 1, n)).difference(pivots):
                     rows[:] = [r | s << (n - 1 - j) * width
                                for r in rows for s in field.slot]
-            block.extend(itertools.product(*lists))
-        keys += sorted(block)
-    unpacked = {r: tuple(packed.unpack(r)) for r in set(itertools.chain.from_iterable(keys))}
-    new = Subspace._from_rref
-    return keys, tuple(new(field, n, tuple(map(unpacked.__getitem__, t))) for t in keys)
+            block = [0]
+            for rows in lists:
+                block = [b << bits | r for b in block for r in rows]
+            keys += block
+        counts.append(len(keys) - start)
+    keys.sort()
+    return keys, counts
 
 
 class SubspaceLattice:
     """All subspaces of GF(q)^n with fixed positions and complements.
 
-    Members are ordered by dimension, then by flattened canonical basis.
-    So a member of smaller dimension has a smaller index, position 0 is the
-    zero space, positions 1..L are the L points and the last position
-    is the full space.  Complements are read off the packed bases
-    (`matrix.orthogonal_rows`), each pair once, from its member of
-    dimension at least n/2.  The pair operations read `masks`, built on
-    the first pair query; a lattice that never gets one builds nothing
-    beyond its members and complements.
+    Each member is held as one int, its key: the packed rows
+    (`matrix.PackedRows`) of its canonical basis concatenated, the first
+    row highest.  With rows of w bits, a key of d rows lies in
+    [2^((d-1)w), 2^(dw)), so keys sort by dimension and then by
+    flattened canonical basis, and the lattice order is the order of the
+    keys: a member of smaller dimension has a smaller index, position 0
+    is the zero space, positions 1..L are the L points and the last
+    position is the full space.  One dict maps each key to its index.
+    `lat[i]`, iteration and `members` build `Subspace` objects on
+    demand; tables, weights and axiom scans never do.
+
+    Complements are read off the packed bases (`matrix.orthogonal_rows`),
+    each pair once, from its member of dimension at least n/2.  The pair
+    operations read `masks`, built on the first pair query; a lattice
+    that never gets one builds nothing beyond its keys and complements.
+    `dims`, `complements` and both halves of `parents` are
+    `array('i')`, four bytes per member each.
     """
 
     def __init__(self, field: GF, n: int):
         self.field = field
         self.n = n
-        keys, self.members = _members(field, n)
-        self.dims = dims = tuple(map(len, keys))
-        # Canonical basis rows -> index: members and parents are looked
-        # up by row tuple, never by hashing Subspace objects.
-        self._by_rows = {s.basis: i for i, s in enumerate(self.members)}
-        position, packed = dict(zip(keys, range(len(keys)))), packed_rows(field, n)
-        c = [-1] * len(keys)
-        for i in reversed(range(len(keys))):
-            if c[i] < 0 and 2 * dims[i] >= n:
-                c[i] = j = position[orthogonal_rows(packed, keys[i])]
+        self._packed = packed = packed_rows(field, n)
+        self._bits = bits = n * packed.width
+        keys, counts = _member_keys(field, n)
+        self._keys = keys
+        self._index = index = dict(zip(keys, range(len(keys))))
+        self.dims = array("i")
+        for d, count in enumerate(counts):
+            self.dims.extend(array("i", [d]) * count)
+        # Members of dimension at least n/2 are the last ones.
+        c = array("i", [-1]) * len(keys)
+        for i in reversed(range(sum(counts[:(n + 1) // 2]), len(keys))):
+            if c[i] < 0:
+                perp = orthogonal_rows(packed, _split(keys[i], bits))
+                c[i] = j = index[_join(perp, bits)]
                 c[j] = i
-        self.complements = tuple(c)
+        self.complements = c
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._keys)
 
     def __iter__(self):
-        return iter(self.members)
+        return map(self.__getitem__, range(len(self._keys)))
 
     def __getitem__(self, i: int) -> Subspace:
-        return self.members[i]
+        unpack = self._packed.unpack
+        return Subspace._from_rref(self.field, self.n, tuple(
+            tuple(unpack(r)) for r in _split(self._keys[i], self._bits)))
+
+    @cached_property
+    def members(self) -> tuple[Subspace, ...]:
+        """Every member as a `Subspace`, in lattice order; built on the
+        first read and kept.  The library itself never reads it."""
+        return tuple(self)
+
+    @cached_property
+    def point_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical basis row of each point, positions 1..L; a
+        point's key is its one packed row."""
+        unpack, n_points = self._packed.unpack, gaussian_binomial(self.n, 1, self.field.q)
+        return tuple(tuple(unpack(key)) for key in self._keys[1:n_points + 1])
 
     @property
     def zero_index(self) -> int:
@@ -213,11 +268,11 @@ class SubspaceLattice:
 
     @property
     def full_index(self) -> int:
-        return len(self.members) - 1
+        return len(self._keys) - 1
 
     def index(self, s: Subspace) -> int:
         if s.field == self.field and s.n == self.n:
-            i = self._by_rows.get(s.basis)
+            i = self._index.get(_join(map(self._packed.pack, s.basis), self._bits))
             if i is not None:
                 return i
         raise ValueError("subspace is not a member of this lattice")
@@ -230,49 +285,55 @@ class SubspaceLattice:
         Hyperplanes of dimension >= 2 are filled by containment tests;
         p <= c[r] says that points p and r are orthogonal, which is
         symmetric, so one test fills a bit of two hyperplanes: L(L+1)/2
-        `Subspace.__le__` calls for L points.  Each clears at most n - 1
+        `Subspace.__le__` calls for L points, on the L point and L
+        hyperplane `Subspace`s built once.  Each clears at most n - 1
         pivot columns from one row (`matrix.in_row_space`) and
         row-reduces nothing.  Any other member X of dimension >= 2 is
         the intersection of the hyperplanes b_perp over the basis rows
-        b of X_perp.
+        b of X_perp; a packed basis row is its point's key.
         """
-        members, c, dims, n = self.members, self.complements, self.dims, self.n
-        n_points = check_mask_bits(self.field, n, len(members))
-        masks = [0] * len(members)
+        c, dims, n, F = self.complements, self.dims, self.n, self.field
+        n_points = check_mask_bits(F, n, len(self))
+        masks = [0] * len(self)
         for p in range(1, n_points + 1):
             masks[p] = 1 << (p - 1)
         if n >= 3:
-            for p in range(1, n_points + 1):
-                for r in range(p, n_points + 1):
-                    if members[p] <= members[c[r]]:
-                        masks[c[r]] |= 1 << (p - 1)
-                        masks[c[p]] |= 1 << (r - 1)
-        # A canonical basis row is the canonical basis of its own line.
-        line = {members[p].basis[0]: p for p in range(1, n_points + 1)}
+            points = [Subspace._from_rref(F, n, (row,)) for row in self.point_rows]
+            hyper = c[1:n_points + 1].tolist()  # hyper[a] is point a+1's
+            planes = list(map(self.__getitem__, hyper))
+            for a, point in enumerate(points):
+                for b in range(a, n_points):
+                    if point <= planes[b]:
+                        masks[hyper[b]] |= 1 << a
+                        masks[hyper[a]] |= 1 << b
+        keys, index, bits = self._keys, self._index, self._bits
         for i, d in enumerate(dims):
             if d >= 2 and d != n - 1:
                 mask = (1 << n_points) - 1
-                for b in members[c[i]].basis:
-                    mask &= masks[c[line[b]]]
+                for b in _split(keys[c[i]], bits):
+                    mask &= masks[c[index[b]]]
                 masks[i] = mask
         return tuple(masks)
 
     @cached_property
-    def parents(self) -> tuple[tuple[int, int] | None, ...]:
-        """Per member, the pair (parent, last line): the member spanned
+    def parents(self) -> tuple[array, array]:
+        """Two arrays, parent and line: per member, the member spanned
         by all but the last row of its canonical basis, and the point
-        spanned by that last row.  None at the zero space.
+        spanned by that last row; -1 at the zero space.
 
         Both row sets are canonical bases as they stand: a reduced
         echelon basis minus its last row is still one, and a single
         reduced row is its line's.  So the parent has one dimension
         less, lies in the member, and sum_index(parent, line) is the
-        member.
+        member.  On keys both are arithmetic: the parent's key is the
+        member's shifted down one row, and the line's is its last row.
         """
-        by_rows = self._by_rows
-        return (None,) + tuple(
-            (by_rows[s.basis[:-1]], by_rows[s.basis[-1:]])
-            for s in self.members[1:])
+        keys, index, bits = self._keys, self._index, self._bits
+        low = (1 << bits) - 1
+        parent, line = array("i", [-1]), array("i", [-1])
+        parent.fromlist([index[k >> bits] for k in itertools.islice(keys, 1, None)])
+        line.fromlist([index[k & low] for k in itertools.islice(keys, 1, None)])
+        return parent, line
 
     @cached_property
     def _by_mask(self) -> dict[int, int]:
@@ -297,7 +358,7 @@ class SubspaceLattice:
         return counts
 
     def __repr__(self) -> str:
-        return f"SubspaceLattice({self.field!r}, n={self.n}, size={len(self.members)})"
+        return f"SubspaceLattice({self.field!r}, n={self.n}, size={len(self)})"
 
 
 # Never evicted: repeated commands in one process (a loop of `verify`

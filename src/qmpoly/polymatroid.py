@@ -154,7 +154,7 @@ class PolymatroidTable:
     or strings): a table is exact, and nothing is rounded on the way in.
     """
 
-    __slots__ = ("lattice", "m", "values", "_dual")
+    __slots__ = ("lattice", "m", "values", "_dual", "_profiles")
 
     def __init__(self, lattice: SubspaceLattice, m: int, values: Sequence[int]):
         values = tuple(map(operator.index, values))
@@ -167,6 +167,7 @@ class PolymatroidTable:
         self.m = m
         self.values = values
         self._dual = None
+        self._profiles = None
 
     @property
     def rank(self) -> int:
@@ -397,13 +398,20 @@ def nullity_profiles(table: PolymatroidTable) -> NullityProfiles:
     """Members are ordered by dimension, and X -> X_perp maps the
     dimension-x members onto the dimension-(n-x) ones.  So with low[x]
     the least value on dimension x, nullity[x] = m*x - low[x] and
-    conullity[x] = rho(E) - low[n-x]: one min per block of values."""
-    lat, m, k, vals = table.lattice, table.m, table.rank, table.values
-    dims, n = lat.dims, lat.n
-    low = [min(vals[bisect_left(dims, x):bisect_right(dims, x)])
-           for x in range(n + 1)]
-    return NullityProfiles(tuple([m * x - low[x] for x in range(n + 1)]),
-                           tuple([k - low[n - x] for x in range(n + 1)]))
+    conullity[x] = rho(E) - low[n-x]: one min per block of values.
+
+    Computed on the first call and kept on the table, which never
+    changes, so a report's weights, Wei report and profiles share one
+    pass over the values."""
+    if table._profiles is None:
+        lat, m, k, vals = table.lattice, table.m, table.rank, table.values
+        dims, n = lat.dims, lat.n
+        low = [min(vals[bisect_left(dims, x):bisect_right(dims, x)])
+               for x in range(n + 1)]
+        table._profiles = NullityProfiles(
+            tuple([m * x - low[x] for x in range(n + 1)]),
+            tuple([k - low[n - x] for x in range(n + 1)]))
+    return table._profiles
 
 
 def _first_reaching(*sides: tuple[Sequence[int], int]) -> list[tuple[int, ...]]:

@@ -478,6 +478,28 @@ def test_verify_corrupted_table(tmp_path, capsys, gf2):
     assert fail["witness"]  # canonical subspaces serialized
 
 
+def test_verify_profile_identity_fails_on_a_wrong_dual_table(
+        tmp_path, capsys, monkeypatch, gf2):
+    # The check compares the table's conullity profile with the nullity
+    # profile of its dual table; lowering one block minimum of the dual
+    # breaks it at that dimension.
+    from qmpoly import PolymatroidTable
+    table = uniform(2, 4, 2, gf2)
+    path = write_table(tmp_path, table)
+    code, out, _ = run(capsys, "verify", str(path), "--wei")
+    assert code == EXIT_OK and "profile identity holds" in out
+    lat, dual = table.lattice, table.dual()
+    vals = list(dual.values)
+    vals[lat.dims.index(2)] = min(v for v, d in zip(vals, lat.dims) if d == 2) - 1
+    wrong = PolymatroidTable(lat, dual.m, vals)
+    monkeypatch.setattr(PolymatroidTable, "dual", lambda self: wrong)
+    code, out, _ = run(capsys, "verify", str(path), "--wei", "--format", "json")
+    assert code == EXIT_VIOLATION
+    (fail,) = json.loads(out)["failures"]
+    assert fail == {"check": "wei", "error": "profile identity violated",
+                    "h": [0, 0, 0, 2, 4], "hstar": [0, 0, 0, 2, 4]}
+
+
 def test_verify_code_file(tmp_path, capsys):
     path = gen_gabidulin(tmp_path, capsys)
     code, _, _ = run(capsys, "verify", str(path), "--axioms", "--wei",

@@ -6,13 +6,15 @@ import pytest
 import qmpoly
 import reference_routes
 from qmpoly import (DelsarteCode, GuardExceeded, Matrix, Subspace,
-                    WeightProfile, anticode_gap_search, anticode_weights, check_axioms,
-                    code_weights, devectorize, enumerate_subspaces, field,
-                    gabidulin, generalized_weights, is_mrd,
-                    min_rank_distance, random_code, random_flag,
+                    SubspaceLattice, WeightProfile, anticode_gap_search,
+                    anticode_weights, check_axioms, code_weights,
+                    devectorize, enumerate_subspaces, field, gabidulin,
+                    generalized_weights, is_mrd, min_rank_distance,
+                    nullity_profiles, random_code, random_flag,
                     random_subcode, subcode_dims, support_space,
                     to_polymatroid, trace_dual, trace_product, transpose_code,
-                    transpose_min_polymatroid, uniform, vectorize, vstack)
+                    transpose_min_polymatroid, uniform, vectorize, vstack,
+                    wei_duality_report)
 
 
 def test_every_public_name_exists():
@@ -182,6 +184,27 @@ def test_subcode_dims_merges_make_no_field_calls(gf2, monkeypatch):
     assert inside and not outside
     monkeypatch.undo()
     assert dims == reference_subcode_dims(code, lat)
+
+
+@pytest.mark.parametrize("p,m,n,k", [(2, 2, 6, 5), (3, 2, 5, 4)])
+def test_tables_weights_and_profiles_build_no_member(p, m, n, k, monkeypatch):
+    # A member is one int; the table, its weights, Wei report and
+    # profiles read dims, complements, parents and the point rows, and
+    # never build a Subspace member of the lattice.
+    f = field(p)
+    lat = SubspaceLattice(f, n)
+    built = []
+    getitem = SubspaceLattice.__getitem__
+
+    def counting(self, i):
+        built.append(i)
+        return getitem(self, i)
+    monkeypatch.setattr(SubspaceLattice, "__getitem__", counting)
+    table = to_polymatroid(random_code(f, m, n, k, random.Random(p)), lat)
+    generalized_weights(table)
+    wei_duality_report(table)
+    nullity_profiles(table)
+    assert built == [] and "members" not in vars(lat)
 
 
 def test_gabidulin_231_is_uniform(gf2):

@@ -291,9 +291,11 @@ def test_masks_hold_the_points_of_each_member(gf3):
                                    (3, 1, 3), (2, 2, 3), (3, 2, 2)])
 def test_parent_and_last_line_rebuild_each_member(p, e, n):
     lat = SubspaceLattice(field(p, e), n)
-    assert lat.parents[0] is None
+    parent_of, line_of = lat.parents
+    assert len(parent_of) == len(line_of) == len(lat)
+    assert parent_of[0] == line_of[0] == -1
     for i in range(1, len(lat)):
-        parent, line = lat.parents[i]
+        parent, line = parent_of[i], line_of[i]
         assert lat.dims[parent] == lat.dims[i] - 1 and lat.dims[line] == 1
         assert parent < i
         assert lat.leq(parent, i) and lat.leq(line, i)
@@ -363,10 +365,18 @@ def test_packed_build_matches_the_reference_enumeration(p, e, n):
     ref = tuple(reference_routes.all_subspaces(f, n))
     assert [s.basis for s in lat] == [s.basis for s in ref]
     position = {s.basis: i for i, s in enumerate(ref)}
-    assert lat.complements == tuple(
+    assert tuple(lat.complements) == tuple(
         position[reference_routes.orthogonal_rows(f, s.basis, n)] for s in ref)
     c, dims = lat.complements, lat.dims
     assert all(c[c[i]] == i and dims[c[i]] == n - dims[i] for i in range(len(lat)))
+    # Members are built on demand, and each maps back to its index; the
+    # parent and last line are the first rows and the last row.
+    assert all(lat.index(lat[i]) == i for i in range(len(lat)))
+    assert list(lat) == list(lat.members)
+    parent_of, line_of = lat.parents
+    for i, s in enumerate(ref[1:], 1):
+        assert (parent_of[i], line_of[i]) == (
+            position[s.basis[:-1]], position[s.basis[-1:]])
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 5), (3, 1, 4), (2, 2, 3), (3, 2, 3)])

@@ -385,6 +385,33 @@ def test_weight_routes_build_no_table(gf2, monkeypatch):
     assert (rel.weights.rank, rel.dual_weights.rank) == (2, 3 * 3 - 2)
 
 
+class CountingValues(tuple):
+    """Table values that count how many values are read through
+    slices, which is how a profile pass reads its blocks."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.read += len(range(*key.indices(len(self))))
+        return tuple.__getitem__(self, key)
+
+
+def test_a_table_makes_one_profile_pass(gf2):
+    # The profiles are kept on the table, so the weights, the Wei report,
+    # the profiles themselves and a whole `weights` report read every
+    # value once between them.
+    from qmpoly.cli import build_report
+    lat = enumerate_subspaces(gf2, 4)
+    for use in (lambda t: (generalized_weights(t), wei_duality_report(t),
+                           weight_witnesses(t), nullity_profiles(t)),
+                lambda t: build_report("table", None, None, t, False)):
+        table = PolymatroidTable(lat, 2, [2 * min(d, 2) for d in lat.dims])
+        table.values = values = CountingValues(table.values)
+        use(table)
+        assert values.read == len(lat)
+
+
 def test_nullity_profiles_identity(gf2):
     rng = random.Random(9)
     lat = enumerate_subspaces(gf2, 3)
