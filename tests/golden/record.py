@@ -170,6 +170,11 @@ CASES += [
     # come off the largest lattices the corpus builds.
     ("weights-json-r36", ["weights", "r36.json", "--format", "json"], {}),
     ("weights-json-r37", ["weights", "r37.json", "--format", "json"], {}),
+    # A report and a check on a GF(3)^4 code, whose witness rows and
+    # complements come off an odd-characteristic lattice past n = 3.
+    ("gen-random-3-2-4-3-seed-5", gen("random", "3", "2", "4", "3", "--seed", "5", "--out", "r43q3.json"), {}),
+    ("weights-json-r43q3", ["weights", "r43q3.json", "--format", "json"], {}),
+    ("verify-json-r43q3", ["verify", "r43q3.json", "--format", "json"], {}),
     ("verify-json-f26", ["verify", "f26.json", "--format", "json"], {}),
     ("weights-w16", ["weights", "w16.json"], {}),
     ("weights-p65521", ["weights", "p65521.json"], {}),
