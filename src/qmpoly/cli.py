@@ -549,8 +549,11 @@ def cmd_gen(args) -> int:
 
     text = dump_code_lines([code], [label])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -31,8 +31,8 @@ from functools import cached_property
 
 from .errors import check_guard
 from .field import GF
-from .matrix import (Matrix, in_row_space, orthogonal_rows, packed_rows,
-                     rref_rows)
+from .matrix import (Matrix, PackedRows, in_row_space, orthogonal_rows,
+                     packed_rows, rref_rows)
 
 DEFAULT_SUBSPACE_GUARD = 10 ** 6
 LATTICE_MEMBERS = "subspace lattice members"
@@ -171,6 +171,34 @@ def _join(rows, bits: int) -> int:
     return key
 
 
+def _cutter(packed: PackedRows, bits: int):
+    """cut(rows, a): the key of Y & a_perp, for the packed canonical basis
+    rows of Y, last row first, and a packed vector a with Y not inside
+    a_perp.  y_t, the first of `rows` off a_perp (the last in the basis),
+    is dropped and cleared from each row y_j after it that is off a_perp:
+    y_j - (y_j.a / y_t.a) y_t, with no scaling when the ratio is 1 or -1.
+    y_t is zero at every other pivot and before its own, so the rows left
+    are the canonical basis of Y & a_perp as they stand: no elimination."""
+    F, dot, add, sub, times = packed.field, packed.dot, packed.add, packed.sub, packed.times
+    log, exp, q1 = F.slot_log, F.slot_exp, F.q - 1
+    minus_one = 1 if F.p == 2 else exp[q1 // 2]
+
+    def cut(rows, a: int) -> int:
+        key = shift = yt = 0
+        for y in rows:
+            if s := dot(y, a):
+                if not yt:
+                    yt, ls = y, q1 - log[s]
+                    continue
+                f = exp[log[s] + ls]
+                y = (sub(y, yt) if f == 1 else add(y, yt) if f == minus_one
+                     else sub(y, times(f, yt)))
+            key |= y << shift
+            shift += bits
+        return key
+    return cut
+
+
 def _member_keys(field: GF, n: int) -> tuple[list[int], list[int]]:
     """Every member's key in lattice order, and the number of members
     of each dimension.  A pivot pattern's bases are the product of its
@@ -210,8 +238,11 @@ class SubspaceLattice:
     `lat[i]`, iteration and `members` build `Subspace` objects on
     demand; tables, weights and axiom scans never do.
 
-    Complements are read off the packed bases (`matrix.orthogonal_rows`),
-    each pair once, from its member of dimension at least n/2.  The pair
+    Complements are cut along the parent tree, each pair once, from its
+    member of dimension at most n/2: X_perp is parent(X)_perp cut by the
+    hyperplane orthogonal to X's last row, read off the parent's
+    complement key with one `PackedRows.dot` per row and no elimination
+    (`matrix.orthogonal_rows` is the route for a lone subspace).  The pair
     operations read `masks`, built on the first pair query; a lattice
     that never gets one builds nothing beyond its keys and complements.
     `dims`, `complements` and both halves of `parents` are
@@ -229,13 +260,21 @@ class SubspaceLattice:
         self.dims = array("i")
         for d, count in enumerate(counts):
             self.dims.extend(array("i", [d]) * count)
-        # Members of dimension at least n/2 are the last ones.
+        # X_perp is parent(X)_perp & a_perp, a the last row of X.
+        # Members of dimension at most n/2 come first, and the children of
+        # a parent are neighbours in key order: its rows are split once.
         c = array("i", [-1]) * len(keys)
-        for i in reversed(range(sum(counts[:(n + 1) // 2]), len(keys))):
-            if c[i] < 0:
-                perp = orthogonal_rows(packed, _split(keys[i], bits))
-                c[i] = j = index[_join(perp, bits)]
-                c[j] = i
+        c[0], c[-1] = len(keys) - 1, 0
+        cut, low, parent = _cutter(packed, bits), (1 << bits) - 1, -1
+        for i in range(1, sum(counts[:n // 2 + 1])):
+            if c[i] >= 0:
+                continue
+            key = keys[i]
+            if key >> bits != parent:
+                parent = key >> bits
+                rows = _split(keys[c[index[parent]]], bits)[::-1]
+            c[i] = j = index[cut(rows, key & low)]
+            c[j] = i
         self.complements = c
 
     def __len__(self) -> int:

@@ -127,7 +127,7 @@ def rref_rows(F: GF, rows: list[list[int]],
     """Gauss-Jordan elimination on a list of row lists, in place:
     (rows, rank, pivot columns), with the rows in reduced echelon form
     and zero rows trailing.  `Matrix.rref` and `Subspace.__and__` share
-    it; the lattice build and `orthogonal_rows` use `PackedRows.rref`."""
+    it; `orthogonal_rows` uses `PackedRows.rref`."""
     sub, mul = F.sub, F.mul
     nr = len(rows)
     pivots = []
@@ -198,6 +198,10 @@ def trace_product(a: Matrix, b: Matrix) -> int:
     return acc
 
 
+def _dot2(x: int, y: int) -> int:
+    return (x & y).bit_count() & 1
+
+
 class PackedRows:
     """Vectors of GF(p^e)^k, each held as one int of k slots.
 
@@ -207,18 +211,37 @@ class PackedRows:
     (`GF.slot`), whose values rise with the elements, so ints compare as
     their coordinates do.  `add` and `sub` are `field.slot_ops` on k
     slots; `times` scales through the field's slot tables, with no `GF`
-    call.  An instance keeps only what depends on k; one per (field
-    instance, k): `packed_rows`.
+    call; `dot` is the dot product of two vectors, as a slot value.  An
+    instance keeps only what depends on k; one per (field instance, k):
+    `packed_rows`.
     """
 
-    __slots__ = ("field", "width", "mask", "add", "sub", "_shifts")
+    __slots__ = ("field", "width", "mask", "add", "sub", "dot", "_shifts")
 
     def __init__(self, F: GF, k: int):
         self.field = F
         self.width = width = F.e * F.digit
         self.mask = (1 << width) - 1
-        self._shifts = tuple(width * (k - 1 - j) for j in range(k))
+        self._shifts = shifts = tuple(width * (k - 1 - j) for j in range(k))
         self.add, self.sub = slot_ops(F, k)
+        mask, p, log, exp, add = self.mask, F.p, F.slot_log, F.slot_exp, F._slot_add
+        if F.q == 2:
+            dot = _dot2
+        elif F.e == 1:  # the slot is the element: integer products mod p
+            def dot(x: int, y: int) -> int:
+                s = 0
+                for shift in shifts:
+                    if u := x >> shift & mask:
+                        s += u * (y >> shift & mask)
+                return s % p
+        else:
+            def dot(x: int, y: int) -> int:
+                s = 0
+                for shift in shifts:
+                    if (u := x >> shift & mask) and (v := y >> shift & mask):
+                        s = add(s, exp[log[u] + log[v]])
+                return s
+        self.dot = dot
 
     def pack(self, vec) -> int:
         slot, width = self.field.slot, self.width
@@ -275,9 +298,10 @@ def packed_rows(F: GF, k: int) -> PackedRows:
 
 def orthogonal_rows(packed: PackedRows, rows) -> tuple[int, ...]:
     """The packed canonical basis of the dot-product complement of the
-    span of `rows`, a packed reduced echelon basis; the one complement
-    route.  Per non-pivot slot j, the kernel vector 1 at j minus each
-    row's entry at j at that row's pivot; one `PackedRows.rref`."""
+    span of `rows`, a packed reduced echelon basis; the route for a lone
+    subspace, as `SubspaceLattice` cuts its members' complements along
+    its parent tree.  Per non-pivot slot j, the kernel vector 1 at j minus
+    each row's entry at j at that row's pivot; one `PackedRows.rref`."""
     width, mask, sub = packed.width, packed.mask, packed.sub
     pivots = [(b.bit_length() - 1) // width * width for b in rows]
     vecs = []

@@ -86,6 +86,20 @@ def test_gen_rejects_shapes_the_parser_rejects(tmp_path, capsys, argv, name,
     assert err == f"error: parameter '{name}': {value} must be >= 1\n"
 
 
+@pytest.mark.parametrize("target", ["missing/code.json", "."])
+def test_gen_to_an_unwritable_path_is_an_input_error(tmp_path, capsys,
+                                                      target):
+    # A missing directory and a directory path used to end in an
+    # internal error (exit 4) from the unhandled OSError.
+    out = tmp_path / target
+    code, stdout, err = run(capsys, "gen", "random", "2", "2", "2", "1",
+                            "--out", str(out))
+    assert code == EXIT_INPUT and stdout == ""
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1 and "internal error" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_weights_gabidulin(tmp_path, capsys):
     path = gen_gabidulin(tmp_path, capsys)
     code, out, _ = run(capsys, "weights", str(path), "--format", "json")

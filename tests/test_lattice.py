@@ -10,7 +10,9 @@ from qmpoly import (DelsarteCode, GF, GuardExceeded, Matrix, PolymatroidTable,
                     enumerate_subspaces, field, gabidulin, gaussian_binomial,
                     lattice_size, min_rank_distance, random_code,
                     support_space, trace_dual, vstack)
+from qmpoly import lattice as lattice_module
 from qmpoly.lattice import MASK_BITS, MAX_MASK_BITS
+from qmpoly.matrix import PackedRows
 
 
 def test_gaussian_binomial_examples():
@@ -158,12 +160,30 @@ def count_rref_calls(monkeypatch):
 
 
 def test_complements_are_read_off_canonical_bases(gf2, monkeypatch):
-    # Each member's kernel vectors come from its canonical basis as it
-    # stands and are reduced once, outside Matrix.rref; the old route
-    # reduced every member's basis again (2 * 374 rref calls here).
+    # Each complement is cut from its parent's canonical basis as it
+    # stands, with no Matrix.rref; an older route reduced every member's
+    # basis again (2 * 374 rref calls here).
     calls = count_rref_calls(monkeypatch)
     SubspaceLattice(gf2, 5)
     assert calls == []
+
+
+@pytest.mark.parametrize("p, n", [(2, 5), (3, 4)])
+def test_complements_are_cut_with_no_elimination(p, n, monkeypatch):
+    # The lattice cuts each complement off its parent's; the lone-subspace
+    # route (orthogonal_rows and its PackedRows.rref) is never called.
+    calls = []
+    for owner, name in [(lattice_module, "orthogonal_rows"), (PackedRows, "rref")]:
+        original = getattr(owner, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counting)
+    lat = SubspaceLattice(field(p), n)
+    assert calls == []
+    lat[3].orthogonal_complement()  # the counters do count
+    assert calls == ["orthogonal_rows", "rref"]
 
 
 def test_trusted_paths_build_no_matrix(gf2, monkeypatch):

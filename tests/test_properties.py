@@ -1,7 +1,7 @@
 """Property tests of the input parser, the CLI, the weight scan, table
-duality, the lattice's pair operations, canonical bases, packed rows,
-packed elimination and complements, and the minimum rank distance on
-generated inputs.
+duality, the lattice's pair operations, canonical bases, packed rows
+and their dot products, packed elimination, complements and complement
+cuts, and the minimum rank distance on generated inputs.
 
 Examples are derandomized, so every run draws the same inputs.  Sizes
 stay small: the explicit reproductions in test_cli.py own the timing
@@ -30,6 +30,7 @@ from qmpoly import (DelsarteCode, Flag, Matrix, PolymatroidTable, Subspace,
 from qmpoly.cli import (EXIT_GUARD, EXIT_INPUT, EXIT_OK, EXIT_VIOLATION,
                         InputError, load_input, main, parse_code_obj)
 from qmpoly.errors import GuardExceeded
+from qmpoly.lattice import _cutter, _join
 from qmpoly.matrix import packed_rows, rref_rows
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200,
@@ -457,6 +458,35 @@ def test_packed_rows_agree_with_the_field_coordinate_by_coordinate(case):
     assert rows.times(f.slot[s], x) == rows.pack([f.mul(s, u) for u in a])
 
 
+DOT_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (65521, 1)]
+
+
+@st.composite
+def dot_cases(draw):
+    """Two vectors of GF(q)^k, k in 1..8, over GF(2), GF(3), GF(4), GF(9)
+    or GF(65521), with 0, 1 and q - 1 drawn often."""
+    f = field(*draw(st.sampled_from(DOT_FIELDS)))
+    k = draw(st.integers(1, 8))
+    entry = st.sampled_from([0, 1, f.q - 1]) | st.integers(0, f.q - 1)
+    vec = st.lists(entry, min_size=k, max_size=k)
+    return f, k, draw(vec), draw(vec)
+
+
+@SETTINGS
+@given(dot_cases())
+def test_packed_dot_is_the_field_dot_product(case):
+    f, k, a, b = case
+    rows = packed_rows(f, k)
+    assert rows.dot(rows.pack(a), rows.pack(b)) == f.slot[field_dot(f, a, b)]
+
+
+def field_dot(f, a, b) -> int:
+    acc = 0
+    for u, v in zip(a, b):
+        acc = f.add(acc, f.mul(u, v))
+    return acc
+
+
 # q^K <= 729 keeps the codeword enumeration of min_rank_distance short.
 D1_FIELDS = [((2, 1), 9), ((3, 1), 6), ((2, 2), 4), ((3, 2), 3)]
 
@@ -520,3 +550,35 @@ def test_orthogonal_complement_matches_the_reference_kernel(case):
     space = Subspace(f, n, rows) if rows else Subspace.zero(f, n)
     assert (space.orthogonal_complement().basis
             == reference_routes.orthogonal_rows(f, space.basis, n))
+
+
+@st.composite
+def cut_cases(draw):
+    """A field of ELIMINATION_FIELDS, a non-zero subspace Y of GF(q)^n,
+    n in 1..7, and a vector a of GF(q)^n with Y not inside a_perp."""
+    f = field(*draw(st.sampled_from(ELIMINATION_FIELDS)))
+    n = draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 1, f.q - 1]) | st.integers(0, f.q - 1)
+    vec = st.lists(entry, min_size=n, max_size=n)
+    y = Subspace(f, n, draw(st.lists(vec, min_size=1, max_size=n)))
+    a = draw(vec)
+    assume(any(field_dot(f, row, a) for row in y.basis))
+    return f, n, y, a
+
+
+@SETTINGS
+@given(cut_cases())
+def test_one_cut_is_the_canonical_basis_of_the_intersection(case):
+    # The lattice's complement step: Y & a_perp, against
+    # (Y_perp + <a>)_perp, read off the list-based kernel twice.
+    f, n, y, a = case
+    packed = packed_rows(f, n)
+    bits = n * packed.width
+    key = _cutter(packed, bits)(
+        [packed.pack(r) for r in reversed(y.basis)], packed.pack(a))
+    wider, rank, _ = rref_rows(
+        f, [list(r) for r in reference_routes.orthogonal_rows(f, y.basis, n)]
+        + [list(a)], n)
+    ref = reference_routes.orthogonal_rows(f, tuple(map(tuple, wider[:rank])), n)
+    assert len(ref) == y.dim - 1
+    assert key == _join(map(packed.pack, ref), bits)
