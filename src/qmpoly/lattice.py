@@ -176,12 +176,11 @@ def _cutter(packed: PackedRows, bits: int):
     rows of Y, last row first, and a packed vector a with Y not inside
     a_perp.  y_t, the first of `rows` off a_perp (the last in the basis),
     is dropped and cleared from each row y_j after it that is off a_perp:
-    y_j - (y_j.a / y_t.a) y_t, with no scaling when the ratio is 1 or -1.
-    y_t is zero at every other pivot and before its own, so the rows left
-    are the canonical basis of Y & a_perp as they stand: no elimination."""
-    F, dot, add, sub, times = packed.field, packed.dot, packed.add, packed.sub, packed.times
+    y_j - (y_j.a / y_t.a) y_t.  y_t is zero at every other pivot and
+    before its own, so the rows left are the canonical basis of Y & a_perp
+    as they stand: no elimination."""
+    F, dot, sub, times = packed.field, packed.dot, packed.sub, packed.times
     log, exp, q1 = F.slot_log, F.slot_exp, F.q - 1
-    minus_one = 1 if F.p == 2 else exp[q1 // 2]
 
     def cut(rows, a: int) -> int:
         key = shift = yt = 0
@@ -190,9 +189,7 @@ def _cutter(packed: PackedRows, bits: int):
                 if not yt:
                     yt, ls = y, q1 - log[s]
                     continue
-                f = exp[log[s] + ls]
-                y = (sub(y, yt) if f == 1 else add(y, yt) if f == minus_one
-                     else sub(y, times(f, yt)))
+                y = sub(y, times(exp[log[s] + ls], yt))
             key |= y << shift
             shift += bits
         return key

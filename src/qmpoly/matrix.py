@@ -5,6 +5,8 @@ lattice is built from, and vectors of GF(q)^k packed into one int each
 
 from __future__ import annotations
 
+from functools import partial
+
 from .field import GF, slot_ops
 
 
@@ -202,6 +204,14 @@ def _dot2(x: int, y: int) -> int:
     return (x & y).bit_count() & 1
 
 
+def _dot_slots(shifts, mask, log, exp, add, x: int, y: int) -> int:
+    s = 0
+    for shift in shifts:
+        if (u := x >> shift & mask) and (v := y >> shift & mask):
+            s = add(s, exp[log[u] + log[v]])
+    return s
+
+
 class PackedRows:
     """Vectors of GF(p^e)^k, each held as one int of k slots.
 
@@ -224,24 +234,10 @@ class PackedRows:
         self.mask = (1 << width) - 1
         self._shifts = shifts = tuple(width * (k - 1 - j) for j in range(k))
         self.add, self.sub = slot_ops(F, k)
-        mask, p, log, exp, add = self.mask, F.p, F.slot_log, F.slot_exp, F._slot_add
-        if F.q == 2:
-            dot = _dot2
-        elif F.e == 1:  # the slot is the element: integer products mod p
-            def dot(x: int, y: int) -> int:
-                s = 0
-                for shift in shifts:
-                    if u := x >> shift & mask:
-                        s += u * (y >> shift & mask)
-                return s % p
-        else:
-            def dot(x: int, y: int) -> int:
-                s = 0
-                for shift in shifts:
-                    if (u := x >> shift & mask) and (v := y >> shift & mask):
-                        s = add(s, exp[log[u] + log[v]])
-                return s
-        self.dot = dot
+        # Module-level functions: a field caching this pickles as far as
+        # its own slot ops do.
+        self.dot = _dot2 if F.q == 2 else partial(
+            _dot_slots, shifts, self.mask, F.slot_log, F.slot_exp, F._slot_add)
 
     def pack(self, vec) -> int:
         slot, width = self.field.slot, self.width

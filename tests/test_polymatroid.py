@@ -705,6 +705,19 @@ def test_records_keep_fields_repr_equality_and_hash(cls, names, values):
         assert rec._replace(**{names[-1]: "x"}) == other
 
 
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_records_over_characteristic_two_pickle_after_lattice_work(e):
+    # The field caches a PackedRows per length once a lattice or subspace
+    # has used it; over GF(2^e) those hold module-level functions only, so
+    # a record carrying the field still pickles.
+    f = field(2, e)
+    lat = SubspaceLattice(f, 3)
+    lat[3].orthogonal_complement()
+    assert 3 in f.packed
+    rec = GapCertificate(DelsarteCode.full(f, 2, 2), 1, 1, 2)
+    assert pickle.loads(pickle.dumps(rec)) == rec
+
+
 def test_axiom_check_defaults():
     assert AxiomCheck(True) == AxiomCheck(ok=True, witness=None, note=None)
 
