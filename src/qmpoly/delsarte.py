@@ -170,7 +170,7 @@ def subcode_dims(code: DelsarteCode,
     A codeword sum_i c_i G_i has its row space in X exactly when it
     annihilates X_perp.  Let W(A) <= GF(q)^k be the span of the vectors
     (G_i[r] . b)_i over the rows r < m and all b in A; then
-    dim C(X) = k - dim W(X_perp).  Two facts build W on the whole
+    dim C(X) = k - dim W(X_perp).  Three facts build W on the whole
     lattice at little cost:
 
     - Parent and last line.  Drop the last row of a member's canonical
@@ -179,19 +179,25 @@ def subcode_dims(code: DelsarteCode,
       basis of a point, its last line (`SubspaceLattice.parents`).
     - Additivity.  b -> (G_i[r] . b)_i is linear for each r, so
       W(A + B) = W(A) + W(B).
+    - Monotonicity.  The parent lies in the member, so W(parent) <=
+      W(member): every descendant of a rank-k member in the parent tree
+      has rank k too (axiom R2 of the code's rank function).
 
     So W of each of the L points (lattice positions 1..L) is computed
     and row-reduced once, and its reduced rows are packed into one int
-    each (`matrix.PackedRows`).  W of every other member is W(parent)
-    with the packed rows of its last line merged in, in index order: N
-    short echelon inserts into a basis of at most k vectors, stopped
-    once the rank reaches k.  A merge subtracts packed rows (XOR in
-    characteristic 2, a slot-wise add for odd p) and finds each leading
-    coordinate by `int.bit_length`; it scales by `PackedRows.times`, with
-    no field call, and keeps each multiple it makes.  A member
-    above a rank-k parent, or whose last line alone has rank k, has rank
-    k, so it is not merged at all.  The full code has dim C(X) = m*dim X
-    and the zero code 0; neither needs any of this.
+    each (`matrix.PackedRows`).  A walk then goes down the parent tree
+    a dimension at a time from the zero space.  It expands only the
+    children (`SubspaceLattice.children`) of the frontier, the members
+    below rank k; only they keep a basis, and a member the walk does
+    not reach is not visited at all.  W of a child is W(parent) with
+    the packed rows of its last line merged in: a short echelon insert
+    into a basis of at most k vectors, stopped once the rank reaches k.
+    A merge subtracts packed rows (XOR in characteristic 2, a slot-wise
+    add for odd p) and finds each leading coordinate by
+    `int.bit_length`; it scales by `PackedRows.times`, with no field
+    call, and keeps each multiple it makes.  A child whose last line
+    alone has rank k is not merged.  The full code has dim C(X) =
+    m*dim X and the zero code 0; neither needs any of this.
     """
     if code.field != lattice.field or code.ncols != lattice.n:
         raise ValueError("lattice ambient does not match code columns")
@@ -213,40 +219,46 @@ def subcode_dims(code: DelsarteCode,
     for row in prod.rows:
         reduced, rank, _ = Matrix(F, [row[r::m] for r in range(m)], k).rref()
         lines.append(tuple(map(pack, reduced.rows[:rank])))
-    # bases[i][j] is the row of member i's basis whose leading
-    # coordinate, a 1, sits in slot j; 0 when no row leads there.
-    # Members of rank k get no basis: none is read.
-    bases: list[list[int]] = [[0] * k] + [[]] * (len(lattice) - 1)
+    # ranks[i] is dim W(member i); members the walk does not reach keep
+    # rank k.  A frontier entry, for a member below rank k with children,
+    # is the run of its children, its rank and its basis: basis[j] is the
+    # row whose leading coordinate, a 1, sits in slot j; 0 when none does.
     ranks = [k] * len(lattice)
     ranks[0] = 0
     multiples: dict[tuple[int, int], int] = {}
-    parent_of, line_of = lattice.parents
-    for i in range(1, len(lattice)):
-        parent = parent_of[i]
-        rank, new = ranks[parent], lines[line_of[i]]
-        if rank == k or len(new) == k:
-            continue
-        basis = bases[parent][:]
-        for v in new:
-            while v:
-                j = (v.bit_length() - 1) // width
-                f = (v >> (j * width)) & mask
-                b = basis[j]
-                if not b:
-                    basis[j] = times(inverse(f), v)
-                    rank += 1
-                    break
-                if f != 1:
-                    fb = multiples.get((b, f))
-                    if fb is None:
-                        fb = multiples[b, f] = times(f, b)
-                    b = fb
-                v = sub(v, b)
-            if rank == k:
-                break
-        else:
-            bases[i] = basis
-        ranks[i] = rank
+    children, line_of = lattice.children, lattice.parents[1]
+    frontier = [(range(children[0], children[1]), 0, [0] * k)]
+    while frontier:
+        below = []
+        for run, parent_rank, parent_basis in frontier:
+            for i in run:
+                new = lines[line_of[i]]
+                if len(new) == k:
+                    continue
+                rank, basis = parent_rank, parent_basis[:]
+                for v in new:
+                    while v:
+                        j = (v.bit_length() - 1) // width
+                        f = (v >> (j * width)) & mask
+                        b = basis[j]
+                        if not b:
+                            basis[j] = times(inverse(f), v)
+                            rank += 1
+                            break
+                        if f != 1:
+                            fb = multiples.get((b, f))
+                            if fb is None:
+                                fb = multiples[b, f] = times(f, b)
+                            b = fb
+                        v = sub(v, b)
+                    if rank == k:
+                        break
+                else:
+                    ranks[i] = rank
+                    if children[i] < children[i + 1]:
+                        below.append((range(children[i], children[i + 1]),
+                                      rank, basis))
+        frontier = below
     return tuple([k - ranks[c] for c in lattice.complements])
 
 

@@ -300,6 +300,11 @@ class GF:
     def __hash__(self) -> int:
         return hash((self.p, self.e))
 
+    def __reduce__(self):
+        # Pickled by its parameters: the slot ops and the cached
+        # `PackedRows` are closures, rebuilt (or shared) on load.
+        return field, (self.p, self.e)
+
     def __repr__(self) -> str:
         if self.e == 1:
             return f"GF({self.p})"

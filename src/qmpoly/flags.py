@@ -15,6 +15,7 @@ on normalized flags duality is an exact match between the two routes.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import NamedTuple, Sequence
 
@@ -109,11 +110,13 @@ class NormalizedFlag(Flag):
 
 def flag_polymatroid(flag: Flag,
                      lattice: SubspaceLattice | None = None) -> PolymatroidTable:
-    """Alternating sum of the members' rank tables."""
+    """Alternating sum of the members' rank tables, one pass per member."""
     m, n = flag.shape
     lat = lattice if lattice is not None else enumerate_subspaces(flag.field, n)
-    tables = [to_polymatroid(c, lat).values for c in flag.codes]
-    vals = [sum(col[0::2]) - sum(col[1::2]) for col in zip(*tables)]
+    vals = to_polymatroid(flag.codes[0], lat).values
+    for i, code in enumerate(flag.codes[1:], 1):
+        vals = list(map(operator.sub if i % 2 else operator.add, vals,
+                        to_polymatroid(code, lat).values))
     return PolymatroidTable(lat, m, vals)
 
 

@@ -242,7 +242,7 @@ class SubspaceLattice:
     (`matrix.orthogonal_rows` is the route for a lone subspace).  The pair
     operations read `masks`, built on the first pair query; a lattice
     that never gets one builds nothing beyond its keys and complements.
-    `dims`, `complements` and both halves of `parents` are
+    `dims`, `complements`, both halves of `parents` and `children` are
     `array('i')`, four bytes per member each.
     """
 
@@ -370,6 +370,18 @@ class SubspaceLattice:
         parent.fromlist([index[k >> bits] for k in itertools.islice(keys, 1, None)])
         line.fromlist([index[k & low] for k in itertools.islice(keys, 1, None)])
         return parent, line
+
+    @cached_property
+    def children(self) -> array:
+        """N + 1 offsets: member i's children under `parents` are the
+        positions children[i] .. children[i+1] - 1.  A key is its
+        parent's key shifted up one row plus its last row, so key order is
+        parent order: parents never decrease from position 1, and each
+        member's children are one run."""
+        counts = [0] * len(self)
+        for p in itertools.islice(self.parents[0], 1, None):
+            counts[p] += 1
+        return array("i", itertools.accumulate(counts, initial=1))
 
     @cached_property
     def _by_mask(self) -> dict[int, int]:

@@ -239,6 +239,9 @@ class PackedRows:
         self.dot = _dot2 if F.q == 2 else partial(
             _dot_slots, shifts, self.mask, F.slot_log, F.slot_exp, F._slot_add)
 
+    def __reduce__(self):
+        return packed_rows, (self.field, len(self._shifts))
+
     def pack(self, vec) -> int:
         slot, width = self.field.slot, self.width
         x = 0

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import qmpoly
 import reference_routes
@@ -120,6 +122,46 @@ def reference_subcode_dims(code, lat):
         out.append(k - Matrix(code.field, rows, len(rows[0])).rank())
     return tuple(out)
 
+
+
+@st.composite
+def walk_extremes(draw):
+    """Codes at the extremes of the frontier walk in `subcode_dims`:
+    k = 1; k near m*n, where the frontier is nearly the whole lattice;
+    and subcodes of a 1-dimensional Gabidulin code, whose nonzero
+    codewords all have rank n, so every point already reaches rank k
+    and the walk stops after dimension 1."""
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    f = field(p, e)
+    n = draw(st.sampled_from([4, 3, 2, 1] if f.q == 2 else [3, 2, 1]))
+    m = draw(st.sampled_from([3, 2, 1]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["k=1", "near full", "points at rank k"]))
+    if kind == "k=1":
+        return kind, random_code(f, m, n, 1, rng)
+    if kind == "near full":
+        k = max(1, m * n - draw(st.integers(1, 3)))
+        return kind, random_code(f, m, n, k, rng)
+    m = max(m, n)
+    k = draw(st.integers(1, m))
+    return kind, random_subcode(gabidulin(f, m, n, 1), k, rng)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(walk_extremes())
+@example(("near full", random_code(field(2), 3, 4, 11, random.Random(1))))
+@example(("near full", random_code(field(3), 3, 3, 8, random.Random(1))))
+@example(("points at rank k", gabidulin(field(2), 4, 4, 1)))
+def test_subcode_dims_match_the_per_member_formula_at_the_walk_extremes(case):
+    kind, code = case
+    lat = enumerate_subspaces(code.field, code.ncols)
+    dims = subcode_dims(code, lat)
+    assert dims == reference_subcode_dims(code, lat)
+    if kind == "points at rank k":
+        # no nonzero codeword has its row space in a hyperplane
+        assert all(dims[i] == 0 for i, d in enumerate(lat.dims)
+                   if d == code.ncols - 1)
 
 @pytest.mark.parametrize("p,e,m,n", [(2, 1, 2, 5), (2, 1, 4, 3), (2, 1, 1, 4),
                                      (3, 1, 2, 3), (2, 2, 2, 3), (5, 1, 3, 2),

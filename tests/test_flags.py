@@ -93,6 +93,20 @@ def test_flag_conullity_matches_table(gf2):
                 assert flag_conullity(flag, s) == table.conullity(s)
 
 
+
+@pytest.mark.parametrize("length", [3, 4])
+def test_flag_table_is_the_alternating_sum_of_member_tables(length, gf2, gf3):
+    # Members at even positions add and at odd positions subtract.
+    for f, m, n in [(gf2, 2, 3), (gf3, 2, 2)]:
+        rng = random.Random(length)
+        lat = enumerate_subspaces(f, n)
+        for _ in range(4):
+            flag = random_flag(f, m, n, length, rng)
+            tables = [to_polymatroid(c, lat).values for c in flag.codes]
+            assert flag_polymatroid(flag, lat).values == tuple(
+                sum((-1) ** j * t[i] for j, t in enumerate(tables))
+                for i in range(len(lat)))
+
 def test_flag_table_bounds(gf2):
     rng = random.Random(11)
     lat = enumerate_subspaces(gf2, 3)

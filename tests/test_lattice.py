@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from bisect import bisect_left
 
 import pytest
 
@@ -321,6 +322,22 @@ def test_parent_and_last_line_rebuild_each_member(p, e, n):
         assert lat.leq(parent, i) and lat.leq(line, i)
         assert lat.sum_index(parent, line) == i
 
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, n) for n in range(7)]
+                         + [(3, 1, n) for n in range(1, 5)] + [(2, 2, 3)])
+def test_children_runs_partition_the_parent_tree(p, e, n):
+    # Member x's children are one run of positions, every one with
+    # parent x, and the runs in order tile positions 1..N-1.
+    lat = enumerate_subspaces(field(p, e), n)
+    parent_of, children = lat.parents[0], lat.children
+    assert len(children) == len(lat) + 1
+    runs = [range(children[x], children[x + 1]) for x in range(len(lat))]
+    assert list(itertools.chain.from_iterable(runs)) == list(range(1, len(lat)))
+    for x, run in enumerate(runs):
+        assert all(parent_of[i] == x for i in run)
+    assert list(children) == [bisect_left(parent_of, x, 1)
+                              for x in range(len(lat) + 1)]
 
 def test_mask_guard_stops_large_lattices_before_the_build():
     # GF(2053)^2 has L = 2054 points and N = 2056 members, past 2^22 bits

@@ -20,8 +20,9 @@ from qmpoly import (AxiomCheck, AxiomReport, DelsarteCode, FlagDualityReport,
                     WeightProfile, WeiReport, check_axioms, conullity_table,
                     enumerate_subspaces, field, generalized_weights,
                     intersection_demipolymatroid, nullity_profiles,
-                    nullity_table, residue_partition, sum_polymatroid,
-                    uniform, wei_duality_report, weight_witnesses)
+                    nullity_table, random_code, residue_partition,
+                    sum_polymatroid, to_polymatroid, uniform,
+                    wei_duality_report, weight_witnesses)
 
 
 def brute_weights(table):
@@ -717,6 +718,23 @@ def test_records_over_characteristic_two_pickle_after_lattice_work(e):
     rec = GapCertificate(DelsarteCode.full(f, 2, 2), 1, 1, 2)
     assert pickle.loads(pickle.dumps(rec)) == rec
 
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])
+def test_codes_tables_and_records_over_odd_characteristic_pickle(p, e):
+    # Odd-characteristic slot ops are closures; a field pickles by its
+    # parameters, so a table over it pickles with its lattice after the
+    # lattice, its masks and parent tree have been built.
+    f = field(p, e)
+    lat = enumerate_subspaces(f, 2)
+    code = random_code(f, 2, 2, 2, random.Random(p))
+    table = to_polymatroid(code, lat)
+    lat.meet_index(1, 2)
+    assert lat.children and 2 in f.packed
+    rec = GapCertificate(code, 1, 1, 2)
+    for obj in (code, table, rec):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    assert pickle.loads(pickle.dumps(table)).lattice.field is f
 
 def test_axiom_check_defaults():
     assert AxiomCheck(True) == AxiomCheck(ok=True, witness=None, note=None)
