@@ -18,18 +18,7 @@ process is ended by SIGPIPE when its output pipe closes early, so its
 status lies outside 0-4.
 
 A resource guard exits 3 with one "guard exceeded:" line naming the
-resource, the size needed and the limit.  The subspace lattice guard
-(10^6 members) is raised by --max-lattice or QMPOLY_MAX_LATTICE, which
-must be >= 0.  The other guards are fixed: the field order (2^16,
-checked before p is tested for primality), the matrix space dimension
-(m*n of a code line, m*max(n, 1) of a table line, 2^10), the lattice
-point-mask bits (N*L for N members and L points, 2^22, checked before
-enumeration by every command that will scan the axioms; it stops
-GF(3)^6, GF(2)^8 and GF(q)^2 for q >= 2048) and the axiom pairs (10^6).
-The axiom scans run over covers and length-2 intervals, so the
-axiom-pair guard bounds only the ordered pair scan that finds the first
-witness of a table failing R3: (y1 + 1)*N pairs, y1 the smaller middle
-of the first failing length-2 interval found.
+resource, the size needed and the limit; the README lists the guards.
 """
 
 from __future__ import annotations
@@ -334,18 +323,15 @@ def _print_text_report(rep: dict, out) -> None:
 # -- commands ----------------------------------------------------------
 
 
-def _check_point_masks(obj, guard: int) -> None:
-    """The point-mask guard of a parsed input's lattice, for a command
-    that will scan the axioms: checked before enumeration, where the
-    first pair query of the scan would check it only after the lattice
-    and the table are built.  The member guard comes first."""
+def _table_of(kind: str, obj, guard: int, axioms: bool) -> PolymatroidTable:
+    """The rank table of a parsed input, on its lattice.  When its axioms
+    will be scanned, the point-mask guard is checked before enumeration,
+    after the member guard, where the scan's first pair query would
+    check it only after the lattice and the table are built."""
     f, n = obj.field, obj.shape[1]
-    check_mask_bits(f, n, checked_lattice_size(f, n, guard))
-
-
-def _table_of(kind: str, obj, guard: int) -> PolymatroidTable:
-    """The rank table of a parsed input, on its lattice."""
-    lat = enumerate_subspaces(obj.field, obj.shape[1], guard)
+    if axioms:
+        check_mask_bits(f, n, checked_lattice_size(f, n, guard))
+    lat = enumerate_subspaces(f, n, guard)
     if kind == "table":
         return PolymatroidTable(lat, obj.shape[0], obj.values)
     return (to_polymatroid if kind == "code" else flag_polymatroid)(obj, lat)
@@ -360,8 +346,7 @@ def cmd_weights(args) -> int:
         raise InputError("empty code has no weights")
     if kind == "flag" and obj.rank == 0:
         raise InputError("rank-zero flag has no weights")
-    _check_point_masks(obj, guard)
-    table = _table_of(kind, obj, guard)
+    table = _table_of(kind, obj, guard, True)
     if isinstance(label, list):
         label = ", ".join(l for l in label if l) or None
     try:
@@ -381,19 +366,16 @@ def _verify_one(kind: str, obj, table, checks: list[str],
     lat = table.lattice
     if "axioms" in checks:
         rep = check_axioms(table)
-        need_r3 = kind == "code"
-        ok = rep.r1.ok and rep.r2.ok and rep.r4.ok and (rep.r3.ok or not need_r3)
-        if not ok:
-            bad = next(name for name, c in
-                       [("r1", rep.r1), ("r2", rep.r2), ("r4", rep.r4)]
-                       + ([("r3", rep.r3)] if need_r3 else [])
-                       if not c.ok)
-            check = getattr(rep, bad)
+        # a code's table must be a polymatroid; R3 only informs otherwise
+        required = ("r1", "r2", "r4") + (("r3",) if kind == "code" else ())
+        bad = next((name for name in required if not getattr(rep, name).ok), None)
+        if bad is not None:
             failures.append({
                 "check": "axioms",
                 "axiom": bad,
                 "verdict": rep.verdict.value,
-                "witness": [_subspace_rows(lat, i) for i in check.witness],
+                "witness": [_subspace_rows(lat, i)
+                            for i in getattr(rep, bad).witness],
             })
         else:
             infos.append(f"axioms: {rep.verdict.value}")
@@ -443,20 +425,16 @@ def cmd_verify(args) -> int:
     guard = _lattice_guard(args)
     if args.trials < 0:
         raise InputError(f"--trials: {args.trials} must be >= 0")
-    checks = [name for name, on in
-              [("axioms", args.axioms), ("wei", args.wei),
-               ("flag-duality", args.flag_duality)] if on]
-    if not checks:
-        checks = ["axioms", "wei", "flag-duality"]
+    wanted = {"axioms": args.axioms, "wei": args.wei,
+              "flag-duality": args.flag_duality}
+    checks = [name for name, on in wanted.items() if on] or list(wanted)
     failures: list[dict] = []
     infos: list[str] = []
 
     if args.input is not None:
         kind, obj, _ = load_input(args.input, guard)
-        if "axioms" in checks:
-            _check_point_masks(obj, guard)
-        _verify_one(kind, obj, _table_of(kind, obj, guard), checks,
-                    failures, infos)
+        table = _table_of(kind, obj, guard, "axioms" in checks)
+        _verify_one(kind, obj, table, checks, failures, infos)
     else:
         rng = random.Random(args.seed)
         shapes = [(2, 2), (3, 2), (2, 3)]
@@ -500,52 +478,49 @@ def _parse_row(text: str, n: int, q: int) -> list[int]:
     return row
 
 
-def cmd_gen(args) -> int:
-    params = args.params
-    rng = random.Random(args.seed)
+# The integer parameters of each `gen` kind; uniform-support reads the
+# rest as basis rows.
+GEN_PARAMS = {"gabidulin": ("q", "m", "n", "k"),
+              "uniform-support": ("q", "m", "n"),
+              "random": ("q", "m", "n", "K")}
 
-    def take_ints(count, names):
-        if len(params) < count:
-            raise InputError(
-                f"{args.kind} needs parameters: {' '.join(names)}")
-        try:
-            vals = [int(v) for v in params[:count]]
-        except ValueError:
-            raise InputError(f"{args.kind} parameters must be integers") from None
-        for name, val in zip(names[1:3], vals[1:3]):  # q m n first
-            if val < 1:  # the file parser rejects m or n < 1
-                raise InputError(f"parameter '{name}': {val} must be >= 1")
-        check_guard(MATRIX_SPACE, vals[1] * vals[2], MAX_MATRIX_SPACE)
-        check_order(vals[0], 1)
-        return vals
+
+def cmd_gen(args) -> int:
+    params, names = args.params, GEN_PARAMS[args.kind]
+    takes_rows = args.kind == "uniform-support"
+    if not (len(params) > len(names) if takes_rows
+            else len(params) == len(names)):
+        raise InputError(
+            f"{args.kind} takes {len(names)} parameters: {' '.join(names)}"
+            + (" and at least one basis row" if takes_rows else ""))
+    try:
+        vals = [int(v) for v in params[:len(names)]]
+    except ValueError:
+        raise InputError(f"{args.kind} parameters must be integers") from None
+    q, m, n = vals[:3]
+    for name, val in (("m", m), ("n", n)):
+        if val < 1:  # the file parser rejects m or n < 1
+            raise InputError(f"parameter '{name}': {val} must be >= 1")
+    check_guard(MATRIX_SPACE, m * n, MAX_MATRIX_SPACE)
+    check_order(q, 1)
+    f = field(*_factor_prime_power(q))
+    label = f"{args.kind}-q{q}-m{m}-n{n}"
 
     if args.kind == "gabidulin":
-        q, m, n, k = take_ints(4, ["q", "m", "n", "k"])
-        p, e = _factor_prime_power(q)
         try:
-            code = gabidulin(field(p, e), m, n, k)
+            code = gabidulin(f, m, n, vals[3])
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        label = f"gabidulin-q{q}-m{m}-n{n}-k{k}"
-    elif args.kind == "uniform-support":
-        q, m, n = take_ints(3, ["q", "m", "n"])
-        p, e = _factor_prime_power(q)
-        f = field(p, e)
-        rows = [_parse_row(t, n, q) for t in params[3:]]
-        if not rows:
-            raise InputError("uniform-support needs at least one basis row")
-        x = Subspace(f, n, rows)
+        label += f"-k{vals[3]}"
+    elif takes_rows:
+        x = Subspace(f, n, [_parse_row(t, n, q) for t in params[3:]])
         code = support_space(x, m)
-        label = f"uniform-support-q{q}-m{m}-n{n}-dim{x.dim}"
-    elif args.kind == "random":
-        q, m, n, k = take_ints(4, ["q", "m", "n", "K"])
-        p, e = _factor_prime_power(q)
-        if not 0 <= k <= m * n:
-            raise InputError(f"dimension K={k} outside 0..{m * n}")
-        code = random_code(field(p, e), m, n, k, rng)
-        label = f"random-q{q}-m{m}-n{n}-K{k}-seed{args.seed}"
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown generator kind {args.kind}")
+        label += f"-dim{x.dim}"
+    else:
+        if not 0 <= vals[3] <= m * n:
+            raise InputError(f"dimension K={vals[3]} outside 0..{m * n}")
+        code = random_code(f, m, n, vals[3], random.Random(args.seed))
+        label += f"-K{vals[3]}-seed{args.seed}"
 
     text = dump_code_lines([code], [label])
     if args.out:
@@ -612,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"or {DEFAULT_SUBSPACE_GUARD})")
 
     pg = sub.add_parser("gen", help="generate a code file")
-    pg.add_argument("kind", choices=["gabidulin", "uniform-support", "random"])
+    pg.add_argument("kind", choices=list(GEN_PARAMS))
     pg.add_argument("params", nargs="*",
                     help="gabidulin: q m n k | uniform-support: q m n row... "
                          "| random: q m n K")

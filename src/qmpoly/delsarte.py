@@ -185,7 +185,10 @@ def subcode_dims(code: DelsarteCode,
 
     So W of each of the L points (lattice positions 1..L) is computed
     and row-reduced once, and its reduced rows are packed into one int
-    each (`matrix.PackedRows`).  A walk then goes down the parent tree
+    each (`matrix.PackedRows`).  A point's key is its canonical basis
+    row b, packed, so entry (r, i) of its m-by-k block is one
+    `PackedRows.dot` of the key with G_i[r], packed once per call; no
+    matrix product is formed.  A walk then goes down the parent tree
     a dimension at a time from the zero space.  It expands only the
     children (`SubspaceLattice.children`) of the frontier, the members
     below rank k; only they keep a basis, and a member the walk does
@@ -207,17 +210,19 @@ def subcode_dims(code: DelsarteCode,
     if k == 0:
         return (0,) * len(lattice)
     F, m, n = code.field, code.nrows, code.ncols
-    # Row p - 1 of the product holds G_i[r] . b at column i*m + r, for
-    # the canonical basis row b of point p (lattice index p).
-    gen_rows = Matrix(F, [vec[r * n:(r + 1) * n] for vec in code.basis
-                          for r in range(m)], n)
-    prod = Matrix(F, lattice.point_rows, n) @ gen_rows.transpose()
+    # gens[r][i] is G_i[r], packed as the point keys are, so entry (r, i)
+    # of a point's block is the dot of the two, a slot value.
+    ambient = packed_rows(F, n)
+    dot, elem = ambient.dot, F.element_of
+    gens = [[ambient.pack(vec[r * n:(r + 1) * n]) for vec in code.basis]
+            for r in range(m)]
     packed = packed_rows(F, k)
     pack, sub, times, inverse = packed.pack, packed.sub, packed.times, packed.inverse
     width, mask = packed.width, packed.mask
     lines: list[tuple[int, ...]] = [()]
-    for row in prod.rows:
-        reduced, rank, _ = Matrix(F, [row[r::m] for r in range(m)], k).rref()
+    for b in lattice.point_keys:
+        block = [[elem[dot(b, g)] for g in row] for row in gens]
+        reduced, rank, _ = Matrix(F, block, k).rref()
         lines.append(tuple(map(pack, reduced.rows[:rank])))
     # ranks[i] is dim W(member i); members the walk does not reach keep
     # rank k.  A frontier entry, for a member below rank k with children,

@@ -291,12 +291,11 @@ class SubspaceLattice:
         first read and kept.  The library itself never reads it."""
         return tuple(self)
 
-    @cached_property
-    def point_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The canonical basis row of each point, positions 1..L; a
-        point's key is its one packed row."""
-        unpack, n_points = self._packed.unpack, gaussian_binomial(self.n, 1, self.field.q)
-        return tuple(tuple(unpack(key)) for key in self._keys[1:n_points + 1])
+    @property
+    def point_keys(self) -> list[int]:
+        """The key of each point, positions 1..L: its one canonical basis
+        row, packed on `packed_rows(field, n)`.  A fresh slice per read."""
+        return self._keys[1:gaussian_binomial(self.n, 1, self.field.q) + 1]
 
     @property
     def zero_index(self) -> int:
@@ -334,7 +333,7 @@ class SubspaceLattice:
         for p in range(1, n_points + 1):
             masks[p] = 1 << (p - 1)
         if n >= 3:
-            points = [Subspace._from_rref(F, n, (row,)) for row in self.point_rows]
+            points = list(map(self.__getitem__, range(1, n_points + 1)))
             hyper = c[1:n_points + 1].tolist()  # hyper[a] is point a+1's
             planes = list(map(self.__getitem__, hyper))
             for a, point in enumerate(points):

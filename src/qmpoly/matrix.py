@@ -15,11 +15,11 @@ class Matrix:
 
     Entries live in a tuple of row tuples, so matrices hash and compare
     by value and canonical forms can key dicts.  Every operation
-    returns a new matrix; the reduced echelon form is cached on first
-    use.
+    returns a new matrix, and nothing is cached: the library reduces
+    each `Matrix` it builds at most once.
     """
 
-    __slots__ = ("field", "ncols", "rows", "_rr")
+    __slots__ = ("field", "ncols", "rows")
 
     def __init__(self, field: GF, rows, ncols: int | None = None):
         rows = tuple(tuple(r) for r in rows)
@@ -40,7 +40,6 @@ class Matrix:
         self.field = field
         self.ncols = ncols
         self.rows = rows
-        self._rr = None
 
     @classmethod
     def zeros(cls, field: GF, nrows: int, ncols: int) -> Matrix:
@@ -94,11 +93,9 @@ class Matrix:
         the unique canonical representative of the row space plus its
         zero padding.
         """
-        if self._rr is None:
-            rows, rank, pivots = rref_rows(
-                self.field, [list(r) for r in self.rows], self.ncols)
-            self._rr = (Matrix(self.field, rows, self.ncols), rank, pivots)
-        return self._rr
+        rows, rank, pivots = rref_rows(
+            self.field, [list(r) for r in self.rows], self.ncols)
+        return Matrix(self.field, rows, self.ncols), rank, pivots
 
     def rank(self) -> int:
         return self.rref()[1]

@@ -70,6 +70,21 @@ def test_gen_bad_parameters(capsys):
     assert code == EXIT_INPUT and "parameters" in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["gabidulin", "2", "3", "2", "1", "7"], "gabidulin takes 4 parameters: q m n k"),
+    (["random", "2", "2", "2", "2", "9", "9"], "random takes 4 parameters: q m n K"),
+    (["random", "2", "2"], "random takes 4 parameters: q m n K"),
+    (["uniform-support", "2", "5", "3"],
+     "uniform-support takes 3 parameters: q m n and at least one basis row"),
+])
+def test_gen_rejects_a_wrong_parameter_count(tmp_path, capsys, argv, expected):
+    # Trailing parameters used to be dropped without a word, with exit 0.
+    out = tmp_path / "code.json"
+    code, stdout, err = run(capsys, "gen", *argv, "--out", str(out))
+    assert code == EXIT_INPUT and stdout == "" and not out.exists()
+    assert err == f"error: {expected}\n"
+
+
 @pytest.mark.parametrize("argv, name, value", [
     (["random", "2", "0", "5", "0"], "m", 0),
     (["random", "2", "3", "0", "0"], "n", 0),

@@ -11,8 +11,9 @@ from qmpoly import (DelsarteCode, GuardExceeded, Matrix, Subspace,
                     SubspaceLattice, WeightProfile, anticode_gap_search,
                     anticode_weights, check_axioms, code_weights,
                     devectorize, enumerate_subspaces, field, gabidulin,
-                    generalized_weights, is_mrd, min_rank_distance,
-                    nullity_profiles, random_code, random_flag,
+                    gaussian_binomial, generalized_weights, is_mrd,
+                    min_rank_distance, nullity_profiles, random_code,
+                    random_flag,
                     random_subcode, subcode_dims, support_space,
                     to_polymatroid, trace_dual, trace_product, transpose_code,
                     transpose_min_polymatroid, uniform, vectorize, vstack,
@@ -196,8 +197,9 @@ def test_subcode_dims_row_reduces_once_per_point(gf2, monkeypatch):
 
 
 def test_subcode_dims_merges_make_no_field_calls(gf2, monkeypatch):
-    # over GF(2) every merge factor is 1, so the packed merges only XOR:
-    # the field is called for the product and the per-point reductions
+    # over GF(2) every merge factor is 1, so the packed merges only XOR,
+    # and the packed dot products call no field method either: the field
+    # is called only in the per-point reductions
     lat = enumerate_subspaces(gf2, 6)
     lat.parents
     code = random_code(gf2, 3, 6, 7, random.Random(6))
@@ -218,13 +220,47 @@ def test_subcode_dims_merges_make_no_field_calls(gf2, monkeypatch):
             (inside if depth[0] else outside).append(fn.__name__)
             return fn(*args)
         return wrapper
-    for name in ("rref", "__matmul__"):
-        monkeypatch.setattr(Matrix, name, kernel(getattr(Matrix, name)))
+    monkeypatch.setattr(Matrix, "rref", kernel(Matrix.rref))
     for name in ("add", "sub", "mul"):
         monkeypatch.setattr(type(gf2), name, counted(getattr(type(gf2), name)))
     dims = subcode_dims(code, lat)
     assert inside and not outside
     monkeypatch.undo()
+    assert dims == reference_subcode_dims(code, lat)
+
+
+@pytest.mark.parametrize("p,e,m,n,k", [(2, 1, 3, 5, 6), (3, 2, 2, 3, 3),
+                                       (5, 1, 2, 3, 4)])
+def test_subcode_dims_forms_no_product(p, e, m, n, k, monkeypatch):
+    # A point's block is read off packed dot products with its key: no
+    # Matrix product or transpose, and one block Matrix per point, each
+    # reduced once (the reduced form is the only other Matrix built).
+    f = field(p, e)
+    lat = enumerate_subspaces(f, n)
+    code = random_code(f, m, n, k, random.Random(p * n + k))
+    products, blocks, depth = [], [], [0]
+    for name in ("__matmul__", "transpose"):
+        monkeypatch.setattr(Matrix, name,
+                            lambda *args, name=name: products.append(name))
+    init, rref = Matrix.__init__, Matrix.rref
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if not depth[0]:
+            blocks.append(self.shape)
+
+    def counting_rref(self):
+        depth[0] += 1
+        try:
+            return rref(self)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    monkeypatch.setattr(Matrix, "rref", counting_rref)
+    dims = subcode_dims(code, lat)
+    monkeypatch.undo()
+    assert products == []
+    assert blocks == [(m, k)] * gaussian_binomial(n, 1, f.q)
     assert dims == reference_subcode_dims(code, lat)
 
 
