@@ -170,7 +170,7 @@ def subcode_dims(code: DelsarteCode,
     A codeword sum_i c_i G_i has its row space in X exactly when it
     annihilates X_perp.  Let W(A) <= GF(q)^k be the span of the vectors
     (G_i[r] . b)_i over the rows r < m and all b in A; then
-    dim C(X) = k - dim W(X_perp).  Three facts build W on the whole
+    dim C(X) = k - dim W(X_perp).  Four facts build W on the whole
     lattice at little cost:
 
     - Parent and last line.  Drop the last row of a member's canonical
@@ -182,14 +182,25 @@ def subcode_dims(code: DelsarteCode,
     - Monotonicity.  The parent lies in the member, so W(parent) <=
       W(member): every descendant of a rank-k member in the parent tree
       has rank k too (axiom R2 of the code's rank function).
+    - Shared blocks.  A point's m-by-k block is linear in the point,
+      and scaling a block keeps its row space.  When m*k < n the map
+      from points to blocks has a kernel, so many points carry one
+      block up to a scalar (q^n - 1 non-zero vectors land on at most
+      q^(mk) blocks); when m*k >= n it is injective as a rule, and
+      keying blocks would only cost.
 
     So W of each of the L points (lattice positions 1..L) is computed
-    and row-reduced once, and its reduced rows are packed into one int
-    each (`matrix.PackedRows`).  A point's key is its canonical basis
-    row b, packed, so entry (r, i) of its m-by-k block is one
-    `PackedRows.dot` of the key with G_i[r], packed once per call; no
-    matrix product is formed.  A walk then goes down the parent tree
-    a dimension at a time from the zero space.  It expands only the
+    and row-reduced, and its reduced rows are packed into one int each
+    (`matrix.PackedRows`).  A point's key is its canonical basis row b,
+    packed, so entry (r, i) of its m-by-k block is one `PackedRows.dot`
+    of the key with G_i[r], packed once per call; no matrix product is
+    formed.  When m*k >= n each point's block is reduced once.  When
+    m*k < n the entries are packed into one int of m*k slots, scaled so
+    that its leading slot is 1, and each distinct packed block is
+    reduced once in the call and its packed rows shared by every point
+    that carries it: the reduced echelon form is canonical for the row
+    space, so the lines are the same.  A walk then goes down the parent
+    tree a dimension at a time from the zero space.  It expands only the
     children (`SubspaceLattice.children`) of the frontier, the members
     below rank k; only they keep a basis, and a member the walk does
     not reach is not visited at all.  W of a child is W(parent) with
@@ -219,11 +230,34 @@ def subcode_dims(code: DelsarteCode,
     packed = packed_rows(F, k)
     pack, sub, times, inverse = packed.pack, packed.sub, packed.times, packed.inverse
     width, mask = packed.width, packed.mask
-    lines: list[tuple[int, ...]] = [()]
-    for b in lattice.point_keys:
-        block = [[elem[dot(b, g)] for g in row] for row in gens]
+
+    def line(block):
         reduced, rank, _ = Matrix(F, block, k).rref()
-        lines.append(tuple(map(pack, reduced.rows[:rank])))
+        return tuple(map(pack, reduced.rows[:rank]))
+
+    lines: list[tuple[int, ...]] = [()]
+    if m * k >= n:
+        for b in lattice.point_keys:
+            lines.append(line([[elem[dot(b, g)] for g in row] for row in gens]))
+    else:
+        # A block packed into one int, slot (r, i) = entry (r, i), and
+        # scaled to a leading 1, keys the lines of every point carrying it.
+        blocks = packed_rows(F, m * k)
+        flat = [g for row in gens for g in row]
+        shared: dict[int, tuple[int, ...]] = {}
+        for b in lattice.point_keys:
+            key = 0
+            for g in flat:
+                key = key << width | dot(b, g)
+            if key:
+                key = blocks.times(blocks.inverse(
+                    key >> (key.bit_length() - 1) // width * width), key)
+            found = shared.get(key)
+            if found is None:
+                entries = blocks.unpack(key)
+                found = shared[key] = line([entries[r * k:(r + 1) * k]
+                                            for r in range(m)])
+            lines.append(found)
     # ranks[i] is dim W(member i); members the walk does not reach keep
     # rank k.  A frontier entry, for a member below rank k with children,
     # is the run of its children, its rank and its basis: basis[j] is the

@@ -42,6 +42,15 @@ class Matrix:
         self.rows = rows
 
     @classmethod
+    def _of(cls, field: GF, rows, ncols: int) -> Matrix:
+        # Trusted path for row lists of field elements built internally.
+        mat = object.__new__(cls)
+        mat.field = field
+        mat.ncols = ncols
+        mat.rows = tuple(map(tuple, rows))
+        return mat
+
+    @classmethod
     def zeros(cls, field: GF, nrows: int, ncols: int) -> Matrix:
         return cls(field, [[0] * ncols for _ in range(nrows)], ncols)
 
@@ -95,7 +104,7 @@ class Matrix:
         """
         rows, rank, pivots = rref_rows(
             self.field, [list(r) for r in self.rows], self.ncols)
-        return Matrix(self.field, rows, self.ncols), rank, pivots
+        return Matrix._of(self.field, rows, self.ncols), rank, pivots
 
     def rank(self) -> int:
         return self.rref()[1]

@@ -75,7 +75,9 @@ def check_pairs(f, m, n) -> int:
 
 
 @pytest.mark.parametrize("p,e,m,n,count", [(2, 1, 2, 2, 66), (2, 1, 3, 2, 2824),
-                                           (3, 1, 2, 2, 211), (2, 2, 2, 2, 528)])
+                                           (3, 1, 2, 2, 211), (2, 2, 2, 2, 528),
+                                           (3, 1, 1, 4, 211), (2, 2, 1, 3, 43),
+                                           (5, 1, 1, 3, 63)])
 def test_every_nonzero_code_satisfies_the_theorems(p, e, m, n, count):
     assert check_codes(field(p, e), m, n) == count
 

@@ -18,6 +18,7 @@ from qmpoly import (DelsarteCode, GuardExceeded, Matrix, Subspace,
                     to_polymatroid, trace_dual, trace_product, transpose_code,
                     transpose_min_polymatroid, uniform, vectorize, vstack,
                     wei_duality_report)
+from qmpoly.matrix import packed_rows
 
 
 def test_every_public_name_exists():
@@ -179,6 +180,90 @@ def test_subcode_dims_match_the_per_member_formula(p, e, m, n):
         assert subcode_dims(c, lat) == reference_subcode_dims(c, lat), k
 
 
+@st.composite
+def shared_block_codes(draw):
+    """Codes with m*k < n, whose points share blocks up to scalars:
+    random codes, k = 1 among them, and subcodes of the support space
+    of a proper subspace X, whose blocks vanish at the points of
+    X_perp."""
+    p, e, m, n = draw(st.sampled_from([
+        (2, 1, 1, 4), (2, 1, 2, 5), (2, 1, 1, 5), (2, 1, 3, 4),
+        (3, 1, 1, 4), (3, 1, 2, 3), (2, 2, 1, 3), (2, 2, 2, 3),
+        (3, 2, 1, 2), (3, 2, 1, 3), (2053, 1, 1, 2)]))
+    f = field(p, e)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    k = draw(st.integers(1, (n - 1) // m))
+    if not draw(st.booleans()):
+        return random_code(f, m, n, k, rng)
+    x = random_code(f, 1, n, draw(st.integers(1, n - 1)), rng).space
+    space = support_space(x, m)
+    return random_subcode(space, min(k, space.dim), rng)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shared_block_codes())
+@example(random_code(field(2053), 1, 2, 1, random.Random(1)))
+@example(support_space(Subspace(field(3, 2), 3, [(1, 2, 0)]), 1))
+@example(random_code(field(2), 2, 5, 2, random.Random(1)))
+def test_subcode_dims_shared_blocks_match_the_per_member_formula(code):
+    lat = enumerate_subspaces(code.field, code.ncols)
+    assert code.nrows * code.dim < code.ncols
+    assert subcode_dims(code, lat) == reference_subcode_dims(code, lat)
+
+
+def distinct_blocks_up_to_scalars(code, lat):
+    """How many distinct m-by-k point blocks there are once each is
+    scaled to a leading 1, by field arithmetic on the unpacked points."""
+    F, m, n = code.field, code.nrows, code.ncols
+    unpack = packed_rows(F, n).unpack
+    seen = set()
+    for key in lat.point_keys:
+        b = unpack(key)
+        block = []
+        for r in range(m):
+            for g in code.basis:
+                acc = 0
+                for x, y in zip(g[r * n:(r + 1) * n], b):
+                    acc = F.add(acc, F.mul(x, y))
+                block.append(acc)
+        lead = next((v for v in block if v), 1)
+        seen.add(tuple(F.mul(F.inv(lead), v) for v in block))
+    return len(seen)
+
+
+@pytest.mark.parametrize("p,e,m,n,k,most", [
+    (2, 16, 1, 2, 1, 2), (2, 1, 2, 6, 2, 16), (3, 1, 1, 4, 2, 5),
+    (3, 2, 1, 3, 2, 11), (2, 1, 3, 4, 1, 8)])
+def test_subcode_dims_reduces_each_distinct_block_once(p, e, m, n, k, most,
+                                                       monkeypatch):
+    # When m*k < n, one row reduction per distinct block up to scalars,
+    # where there used to be one per point: 65,537 points on the 1x2
+    # GF(2^16) code, 63 on GF(2)^6.
+    f = field(p, e)
+    lat = enumerate_subspaces(f, n)
+    if f.q == 2 ** 16:
+        code = DelsarteCode(f, 1, 2, [(1, 5)])
+    else:
+        code = random_code(f, m, n, k, random.Random(f"{p}^{e} {m}x{n}"))
+    calls = []
+    rref = Matrix.rref
+
+    def counting(self):
+        calls.append(self.shape)
+        return rref(self)
+    monkeypatch.setattr(Matrix, "rref", counting)
+    dims = subcode_dims(code, lat)
+    monkeypatch.undo()
+    distinct = distinct_blocks_up_to_scalars(code, lat)
+    assert len(calls) == distinct <= most < len(lat.point_keys)
+    if f.q == 2 ** 16:
+        # only the point spanned by (1, 5) and the full space hold it
+        assert dims.count(1) == 2 and dims.count(0) == len(lat) - 2
+    else:
+        assert dims == reference_subcode_dims(code, lat)
+
+
 def test_subcode_dims_row_reduces_once_per_point(gf2, monkeypatch):
     # GF(2)^5 has 374 members and 31 points; one row reduction per
     # member would make 372 calls per code
@@ -230,11 +315,13 @@ def test_subcode_dims_merges_make_no_field_calls(gf2, monkeypatch):
 
 
 @pytest.mark.parametrize("p,e,m,n,k", [(2, 1, 3, 5, 6), (3, 2, 2, 3, 3),
-                                       (5, 1, 2, 3, 4)])
+                                       (5, 1, 2, 3, 4), (2, 1, 2, 6, 2),
+                                       (3, 1, 1, 4, 2)])
 def test_subcode_dims_forms_no_product(p, e, m, n, k, monkeypatch):
     # A point's block is read off packed dot products with its key: no
-    # Matrix product or transpose, and one block Matrix per point, each
-    # reduced once (the reduced form is the only other Matrix built).
+    # Matrix product or transpose.  When m*k >= n there is one block
+    # Matrix per point, each reduced once; when m*k < n points share
+    # blocks, and there are fewer.
     f = field(p, e)
     lat = enumerate_subspaces(f, n)
     code = random_code(f, m, n, k, random.Random(p * n + k))
@@ -260,7 +347,11 @@ def test_subcode_dims_forms_no_product(p, e, m, n, k, monkeypatch):
     dims = subcode_dims(code, lat)
     monkeypatch.undo()
     assert products == []
-    assert blocks == [(m, k)] * gaussian_binomial(n, 1, f.q)
+    points = gaussian_binomial(n, 1, f.q)
+    if m * k >= n:
+        assert blocks == [(m, k)] * points
+    else:
+        assert blocks == [(m, k)] * len(blocks) and 0 < len(blocks) < points
     assert dims == reference_subcode_dims(code, lat)
 
 

@@ -38,6 +38,25 @@ def test_rref_idempotent_and_row_space_invariant(gf2, gf3):
             assert Matrix(f, perm, m.ncols).rref()[0] == r
 
 
+def test_rref_builds_its_form_without_checking_entries_again(gf3, monkeypatch):
+    # The reduced form skips `Matrix.__init__`'s entry check, and is the
+    # same value, rows as tuples, that the checked constructor makes.
+    m = Matrix(gf3, [[1, 2, 0], [2, 2, 1], [0, 0, 2]])
+    inits = []
+    init = Matrix.__init__
+
+    def counting(self, *args):
+        inits.append(args)
+        init(self, *args)
+    monkeypatch.setattr(Matrix, "__init__", counting)
+    r, rank, _ = m.rref()
+    monkeypatch.undo()
+    assert inits == [] and rank == 3
+    checked = Matrix(gf3, r.rows, 3)
+    assert r == checked and hash(r) == hash(checked)
+    assert type(r.rows) is tuple and all(type(row) is tuple for row in r.rows)
+
+
 def test_rank_nullity(gf2, gf3):
     # The orthogonal complement of the row space is the right null space.
     rng = random.Random(7)
