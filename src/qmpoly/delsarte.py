@@ -194,24 +194,26 @@ def subcode_dims(code: DelsarteCode,
     (`matrix.PackedRows`).  A point's key is its canonical basis row b,
     packed, so entry (r, i) of its m-by-k block is one `PackedRows.dot`
     of the key with G_i[r], packed once per call; no matrix product is
-    formed.  When m*k >= n each point's block is reduced once.  When
-    m*k < n the entries are packed into one int of m*k slots, scaled so
-    that its leading slot is 1, and each distinct packed block is
-    reduced once in the call and its packed rows shared by every point
-    that carries it: the reduced echelon form is canonical for the row
-    space, so the lines are the same.  A walk then goes down the parent
-    tree a dimension at a time from the zero space.  It expands only the
-    children (`SubspaceLattice.children`) of the frontier, the members
-    below rank k; only they keep a basis, and a member the walk does
-    not reach is not visited at all.  W of a child is W(parent) with
-    the packed rows of its last line merged in: a short echelon insert
-    into a basis of at most k vectors, stopped once the rank reaches k.
-    A merge subtracts packed rows (XOR in characteristic 2, a slot-wise
-    add for odd p) and finds each leading coordinate by
-    `int.bit_length`; it scales by `PackedRows.times`, with no field
-    call, and keeps each multiple it makes.  A child whose last line
-    alone has rank k is not merged.  The full code has dim C(X) =
-    m*dim X and the zero code 0; neither needs any of this.
+    formed.  When m*k >= n each block row r is packed on k slots, slot
+    i its entry (r, i), and each point's m rows are reduced once by
+    `PackedRows.rref`, with no `Matrix` and no field call.  When m*k < n
+    the entries are packed into one int of m*k slots, scaled so that its
+    leading slot is 1, and each distinct packed block is reduced once in
+    the call, as a `Matrix`, and its packed rows shared by every point
+    that carries it.  The reduced echelon form is canonical for the row
+    space, so both routes give the same lines.  A walk then goes down
+    the parent tree a dimension at a time from the zero space.  It
+    expands only the children (`SubspaceLattice.children`) of the
+    frontier, the members below rank k; only they keep a basis, and a
+    member the walk does not reach is not visited at all.  W of a child
+    is W(parent) with the packed rows of its last line merged in: a
+    short echelon insert into a basis of at most k vectors, stopped once
+    the rank reaches k.  A merge subtracts packed rows (XOR in
+    characteristic 2, a slot-wise add for odd p) and finds each leading
+    coordinate by `int.bit_length`; it scales by `PackedRows.times`,
+    with no field call, and keeps each multiple it makes.  A child whose
+    last line alone has rank k is not merged.  The full code has dim
+    C(X) = m*dim X and the zero code 0; neither needs any of this.
     """
     if code.field != lattice.field or code.ncols != lattice.n:
         raise ValueError("lattice ambient does not match code columns")
@@ -224,21 +226,25 @@ def subcode_dims(code: DelsarteCode,
     # gens[r][i] is G_i[r], packed as the point keys are, so entry (r, i)
     # of a point's block is the dot of the two, a slot value.
     ambient = packed_rows(F, n)
-    dot, elem = ambient.dot, F.element_of
+    dot = ambient.dot
     gens = [[ambient.pack(vec[r * n:(r + 1) * n]) for vec in code.basis]
             for r in range(m)]
     packed = packed_rows(F, k)
-    pack, sub, times, inverse = packed.pack, packed.sub, packed.times, packed.inverse
+    sub, times, inverse = packed.sub, packed.times, packed.inverse
     width, mask = packed.width, packed.mask
-
-    def line(block):
-        reduced, rank, _ = Matrix(F, block, k).rref()
-        return tuple(map(pack, reduced.rows[:rank]))
 
     lines: list[tuple[int, ...]] = [()]
     if m * k >= n:
+        # Block row r packed on k slots, slot i = entry (r, i).
+        rref = packed.rref
         for b in lattice.point_keys:
-            lines.append(line([[elem[dot(b, g)] for g in row] for row in gens]))
+            rows = []
+            for row in gens:
+                x = 0
+                for g in row:
+                    x = x << width | dot(b, g)
+                rows.append(x)
+            lines.append(rref(rows))
     else:
         # A block packed into one int, slot (r, i) = entry (r, i), and
         # scaled to a leading 1, keys the lines of every point carrying it.
@@ -255,8 +261,10 @@ def subcode_dims(code: DelsarteCode,
             found = shared.get(key)
             if found is None:
                 entries = blocks.unpack(key)
-                found = shared[key] = line([entries[r * k:(r + 1) * k]
-                                            for r in range(m)])
+                reduced, rank, _ = Matrix(F, [entries[r * k:(r + 1) * k]
+                                              for r in range(m)], k).rref()
+                found = shared[key] = tuple(map(packed.pack,
+                                                reduced.rows[:rank]))
             lines.append(found)
     # ranks[i] is dim W(member i); members the walk does not reach keep
     # rank k.  A frontier entry, for a member below rank k with children,

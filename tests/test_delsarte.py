@@ -18,7 +18,7 @@ from qmpoly import (DelsarteCode, GuardExceeded, Matrix, Subspace,
                     to_polymatroid, trace_dual, trace_product, transpose_code,
                     transpose_min_polymatroid, uniform, vectorize, vstack,
                     wei_duality_report)
-from qmpoly.matrix import packed_rows
+from qmpoly.matrix import PackedRows, packed_rows
 
 
 def test_every_public_name_exists():
@@ -212,6 +212,41 @@ def test_subcode_dims_shared_blocks_match_the_per_member_formula(code):
     assert subcode_dims(code, lat) == reference_subcode_dims(code, lat)
 
 
+@st.composite
+def per_point_block_codes(draw):
+    """Codes with m*k >= n, whose points each get a block of their own
+    reduced on packed rows: random codes, and subcodes of the support
+    space of a proper subspace X, whose blocks vanish at the points of
+    X_perp and lose rank at others."""
+    p, e, m, n = draw(st.sampled_from([
+        (2, 1, 2, 4), (2, 1, 3, 4), (2, 1, 2, 5), (3, 1, 2, 3),
+        (3, 1, 3, 3), (2, 2, 2, 3), (5, 1, 2, 3), (3, 2, 2, 2),
+        (2053, 1, 2, 2)]))
+    f = field(p, e)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    least = -(-n // m)
+    if not draw(st.booleans()):
+        return random_code(f, m, n, draw(st.integers(least, m * n - 1)), rng)
+    d = draw(st.integers(-(-least // m), n - 1))
+    x = random_code(f, 1, n, d, rng).space
+    return random_subcode(support_space(x, m),
+                          draw(st.integers(least, m * d)), rng)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(per_point_block_codes())
+@example(support_space(Subspace(field(2), 6, [(1, 0, 0, 1, 1, 0),
+                                              (0, 1, 0, 0, 1, 1)]), 3))
+@example(random_code(field(2053), 2, 2, 1, random.Random(1)))
+def test_subcode_dims_per_point_blocks_match_the_per_member_formula(code):
+    # The code and its trace dual, which may take either route.
+    lat = enumerate_subspaces(code.field, code.ncols)
+    assert code.nrows * code.dim >= code.ncols
+    for c in (code, trace_dual(code)):
+        assert subcode_dims(c, lat) == reference_subcode_dims(c, lat)
+
+
 def distinct_blocks_up_to_scalars(code, lat):
     """How many distinct m-by-k point blocks there are once each is
     scaled to a leading 1, by field arithmetic on the unpacked points."""
@@ -266,52 +301,51 @@ def test_subcode_dims_reduces_each_distinct_block_once(p, e, m, n, k, most,
 
 def test_subcode_dims_row_reduces_once_per_point(gf2, monkeypatch):
     # GF(2)^5 has 374 members and 31 points; one row reduction per
-    # member would make 372 calls per code
+    # member would make 372 calls per code.  With m*k >= n each point's
+    # block is reduced once on packed rows, and no Matrix is reduced.
     lat = enumerate_subspaces(gf2, 5)
-    calls = []
-    rref = Matrix.rref
-
-    def counting(self):
-        calls.append(self.shape)
-        return rref(self)
-    monkeypatch.setattr(Matrix, "rref", counting)
     code = random_code(gf2, 3, 5, 6, random.Random(3))
-    calls.clear()
-    subcode_dims(code, lat)
-    assert 0 < len(calls) <= 31
+    packed, matrix = [], []
+    packed_rref, matrix_rref = PackedRows.rref, Matrix.rref
+
+    def counting_packed(self, rows):
+        packed.append(len(rows))
+        return packed_rref(self, rows)
+
+    def counting_matrix(self):
+        matrix.append(self.shape)
+        return matrix_rref(self)
+    monkeypatch.setattr(PackedRows, "rref", counting_packed)
+    monkeypatch.setattr(Matrix, "rref", counting_matrix)
+    dims = subcode_dims(code, lat)
+    monkeypatch.undo()
+    assert packed == [3] * 31 and matrix == []
+    assert dims == reference_subcode_dims(code, lat)
 
 
-def test_subcode_dims_merges_make_no_field_calls(gf2, monkeypatch):
-    # over GF(2) every merge factor is 1, so the packed merges only XOR,
-    # and the packed dot products call no field method either: the field
-    # is called only in the per-point reductions
-    lat = enumerate_subspaces(gf2, 6)
-    lat.parents
-    code = random_code(gf2, 3, 6, 7, random.Random(6))
-    depth = [0]
-    inside, outside = [], []
-
-    def kernel(fn):
-        def wrapper(*args):
-            depth[0] += 1
-            try:
-                return fn(*args)
-            finally:
-                depth[0] -= 1
-        return wrapper
+def test_subcode_dims_merges_make_no_field_calls(monkeypatch):
+    # When m*k >= n the packed dot products, the per-point packed
+    # reductions and the packed merges scale through the field's slot
+    # tables: no field method is called anywhere in subcode_dims.
+    calls = []
 
     def counted(fn):
         def wrapper(*args):
-            (inside if depth[0] else outside).append(fn.__name__)
+            calls.append(fn.__name__)
             return fn(*args)
         return wrapper
-    monkeypatch.setattr(Matrix, "rref", kernel(Matrix.rref))
-    for name in ("add", "sub", "mul"):
-        monkeypatch.setattr(type(gf2), name, counted(getattr(type(gf2), name)))
-    dims = subcode_dims(code, lat)
-    assert inside and not outside
-    monkeypatch.undo()
-    assert dims == reference_subcode_dims(code, lat)
+    for p, e, m, n, k in [(2, 1, 3, 6, 7), (3, 1, 2, 4, 5), (2, 2, 2, 3, 4),
+                          (5, 1, 2, 3, 2)]:
+        f = field(p, e)
+        lat = enumerate_subspaces(f, n)
+        code = random_code(f, m, n, k, random.Random(6))
+        assert m * k >= n
+        for name in ("add", "sub", "mul", "neg", "inv", "pow"):
+            monkeypatch.setattr(type(f), name, counted(getattr(type(f), name)))
+        dims = subcode_dims(code, lat)
+        monkeypatch.undo()
+        assert calls == [], (p, e)
+        assert dims == reference_subcode_dims(code, lat)
 
 
 @pytest.mark.parametrize("p,e,m,n,k", [(2, 1, 3, 5, 6), (3, 2, 2, 3, 3),
@@ -319,9 +353,9 @@ def test_subcode_dims_merges_make_no_field_calls(gf2, monkeypatch):
                                        (3, 1, 1, 4, 2)])
 def test_subcode_dims_forms_no_product(p, e, m, n, k, monkeypatch):
     # A point's block is read off packed dot products with its key: no
-    # Matrix product or transpose.  When m*k >= n there is one block
-    # Matrix per point, each reduced once; when m*k < n points share
-    # blocks, and there are fewer.
+    # Matrix product or transpose.  When m*k >= n no Matrix is built at
+    # all; when m*k < n there is one (m, k) block Matrix per distinct
+    # block up to scalars, each reduced once.
     f = field(p, e)
     lat = enumerate_subspaces(f, n)
     code = random_code(f, m, n, k, random.Random(p * n + k))
@@ -347,11 +381,12 @@ def test_subcode_dims_forms_no_product(p, e, m, n, k, monkeypatch):
     dims = subcode_dims(code, lat)
     monkeypatch.undo()
     assert products == []
-    points = gaussian_binomial(n, 1, f.q)
     if m * k >= n:
-        assert blocks == [(m, k)] * points
+        assert blocks == []
     else:
-        assert blocks == [(m, k)] * len(blocks) and 0 < len(blocks) < points
+        distinct = distinct_blocks_up_to_scalars(code, lat)
+        assert blocks == [(m, k)] * distinct
+        assert 0 < distinct < gaussian_binomial(n, 1, f.q)
     assert dims == reference_subcode_dims(code, lat)
 
 

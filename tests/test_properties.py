@@ -531,8 +531,23 @@ def row_lists(draw, max_k):
     return f, k, rows
 
 
+W16 = field(2, 16)
+
+
+# The per-point blocks of `subcode_dims` on large fields: zero rows, lists
+# whose rows are all multiples of one, and k = 1 and 2.
 @SETTINGS
 @given(row_lists(8))
+@example((field(2053), 2, []))
+@example((field(2053), 2, [[0, 0], [0, 0]]))
+@example((field(2053), 1, [[5], [2052], [0], [1]]))
+@example((field(2053), 2, [[3, 7], [6, 14], [2050, 2046]]))
+@example((field(2053), 2, [[0, 9], [4, 0], [4, 9]]))
+@example((W16, 1, [[0], [40000], [1]]))
+@example((W16, 2, [[0, 0], [0, 0]]))
+@example((W16, 2, [[4660, 5]] + [[W16.mul(c, 4660), W16.mul(c, 5)]
+                                 for c in (2, 65535, 1)]))
+@example((W16, 2, [[0, 1], [1, 0], [65535, 65534]]))
 def test_packed_elimination_matches_rref_rows(case):
     f, k, rows = case
     packed = packed_rows(f, k)
