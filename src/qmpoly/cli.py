@@ -431,26 +431,26 @@ def cmd_verify(args) -> int:
     failures: list[dict] = []
     infos: list[str] = []
 
+    axioms = "axioms" in checks
     if args.input is not None:
         kind, obj, _ = load_input(args.input, guard)
-        table = _table_of(kind, obj, guard, "axioms" in checks)
-        _verify_one(kind, obj, table, checks, failures, infos)
+        _verify_one(kind, obj, _table_of(kind, obj, guard, axioms),
+                    checks, failures, infos)
     else:
         rng = random.Random(args.seed)
         shapes = [(2, 2), (3, 2), (2, 3)]
         f = field(2)
         for t in range(args.trials):
             m, n = shapes[t % len(shapes)]
-            lat = enumerate_subspaces(f, n, guard)
             k = rng.randrange(1, m * n)
             code = random_code(f, m, n, k, rng)
-            _verify_one("code", code, to_polymatroid(code, lat),
+            _verify_one("code", code, _table_of("code", code, guard, axioms),
                         [c for c in checks if c != "flag-duality"],
                         failures, infos)
             if "flag-duality" in checks or "wei" in checks:
                 flag = random_flag(f, m, n, 2 + t % 2, rng)
-                table = flag_polymatroid(flag, lat)
-                _verify_one("flag", flag, table, checks, failures, infos)
+                _verify_one("flag", flag, _table_of("flag", flag, guard, axioms),
+                            checks, failures, infos)
         infos.append(f"suite: {args.trials} trials, seed {args.seed}")
 
     out = {"schema": SCHEMA, "checks": checks,

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import check_guard
 from .field import GF, _digits, field
 from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
-from .matrix import Matrix, in_row_space, packed_rows, rref_rows
+from .matrix import Matrix, packed_rows
 from .polymatroid import (PolymatroidTable, WeightProfile, _first_reaching,
                           conullity_table, generalized_weights)
 
@@ -136,7 +136,8 @@ class DelsarteCode:
             raise ValueError("field mismatch")
         if mat.shape != self.shape:
             raise ValueError("shape mismatch")
-        return in_row_space(self.field, self.basis, [vectorize(mat)])
+        return self.space._holds(
+            packed_rows(self.field, self.ambient_dim).pack(vectorize(mat)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DelsarteCode)
@@ -154,13 +155,13 @@ class DelsarteCode:
 def support_space(x: Subspace, m: int) -> DelsarteCode:
     """All m-by-n matrices whose row space lies in x; dimension m*dim x.
 
-    Each canonical basis row of x put into one matrix row at a time
-    gives a basis already in canonical form.
+    Each canonical basis row of x put into one matrix row at a time, a
+    packed row shifted into place, gives a basis already in canonical
+    form.
     """
-    n = x.n
-    rows = tuple((0,) * (i * n) + b + (0,) * ((m - 1 - i) * n)
-                 for i in range(m) for b in x.basis)
-    return DelsarteCode._of(Subspace._from_rref(x.field, m * n, rows), m, n)
+    bits = x.n * packed_rows(x.field, x.n).width
+    rows = tuple(b << (m - 1 - i) * bits for i in range(m) for b in x.rows)
+    return DelsarteCode._of(Subspace._of(x.field, m * x.n, rows), m, x.n)
 
 
 def subcode_dims(code: DelsarteCode,
@@ -193,14 +194,14 @@ def subcode_dims(code: DelsarteCode,
     and row-reduced, and its reduced rows are packed into one int each
     (`matrix.PackedRows`).  A point's key is its canonical basis row b,
     packed, so entry (r, i) of its m-by-k block is one `PackedRows.dot`
-    of the key with G_i[r], packed once per call; no matrix product is
-    formed.  When m*k >= n each block row r is packed on k slots, slot
-    i its entry (r, i), and each point's m rows are reduced once by
-    `PackedRows.rref`, with no `Matrix` and no field call.  When m*k < n
-    the entries are packed into one int of m*k slots, scaled so that its
-    leading slot is 1, and each distinct packed block is reduced once in
-    the call, as a `Matrix`, and its packed rows shared by every point
-    that carries it.  The reduced echelon form is canonical for the row
+    of the key with G_i[r], read off the code's packed row i by shift
+    and mask; no matrix product is formed.  When m*k >= n each block row
+    r is packed on k slots, slot i its entry (r, i), and each point's m
+    rows are reduced once by `PackedRows.rref`, with no `Matrix` and no
+    field call.  When m*k < n the entries are packed into one int of m*k
+    slots, scaled so that its leading slot is 1, and each distinct
+    packed block is reduced once in the call, as a `Matrix`, and its
+    packed rows shared by every point that carries it.  The reduced echelon form is canonical for the row
     space, so both routes give the same lines.  A walk then goes down
     the parent tree a dimension at a time from the zero space.  It
     expands only the children (`SubspaceLattice.children`) of the
@@ -224,14 +225,15 @@ def subcode_dims(code: DelsarteCode,
         return (0,) * len(lattice)
     F, m, n = code.field, code.nrows, code.ncols
     # gens[r][i] is G_i[r], packed as the point keys are, so entry (r, i)
-    # of a point's block is the dot of the two, a slot value.
-    ambient = packed_rows(F, n)
-    dot = ambient.dot
-    gens = [[ambient.pack(vec[r * n:(r + 1) * n]) for vec in code.basis]
-            for r in range(m)]
+    # of a point's block is the dot of the two, a slot value: row r's
+    # slots of the packed generator G_i, by shift and mask.
+    dot = packed_rows(F, n).dot
     packed = packed_rows(F, k)
     sub, times, inverse = packed.sub, packed.times, packed.inverse
     width, mask = packed.width, packed.mask
+    low = (1 << n * width) - 1
+    gens = [[g >> (m - 1 - r) * n * width & low for g in code.space.rows]
+            for r in range(m)]
 
     lines: list[tuple[int, ...]] = [()]
     if m * k >= n:
@@ -337,10 +339,10 @@ def transpose_code(code: DelsarteCode) -> DelsarteCode:
     Entry (i, j) of a codeword sits at i*n + j of its vector, so row j
     of the transpose is v[j::n]; the permuted rows are reduced once.
     """
-    n = code.ncols
-    return DelsarteCode(code.field, n, code.nrows,
-                        [tuple(v for j in range(n) for v in row[j::n])
-                         for row in code.basis])
+    m, n = code.shape
+    return DelsarteCode._of(Subspace._reduce(
+        code.field, m * n, [[v for j in range(n) for v in row[j::n]]
+                            for row in code.basis]), n, m)
 
 
 def code_weights(code: DelsarteCode,
@@ -534,24 +536,24 @@ def gabidulin(base: GF, m: int, n: int, k: int) -> DelsarteCode:
 def min_rank_distance(code: DelsarteCode,
                       guard: int = DEFAULT_CODEWORD_GUARD) -> int:
     """Minimum rank over all nonzero codewords, by full enumeration;
-    each codeword's rank is one `rref_rows` elimination of its m rows."""
+    each codeword is a packed combination of the code's packed rows, and
+    its rank is the length of one `PackedRows.rref` of its m row slices."""
     k = code.dim
     if k == 0:
         raise ValueError("zero code has no distance")
-    q = code.field.q
-    count = q ** k - 1
-    check_guard("nonzero codewords", count, guard)
     F, m, n = code.field, code.nrows, code.ncols
-    rows = code.basis
-    width = code.ambient_dim
+    count = F.q ** k - 1
+    check_guard("nonzero codewords", count, guard)
+    space, packed = packed_rows(F, m * n), packed_rows(F, n)
+    bits = n * packed.width
+    low, shifts = (1 << bits) - 1, range((m - 1) * bits, -1, -bits)
     best = min(m, n)
     for enc in range(1, count + 1):
-        coeffs = _digits(enc, q, k)
-        vec = [0] * width
-        for c, row in zip(coeffs, rows):
+        vec = 0
+        for c, row in zip(_digits(enc, F.q, k), code.space.rows):
             if c:
-                vec = [F.add(v, F.mul(c, r)) for v, r in zip(vec, row)]
-        rank = rref_rows(F, [vec[r * n:(r + 1) * n] for r in range(m)], n)[1]
+                vec = space.add(vec, space.times(F.slot[c], row))
+        rank = len(packed.rref([vec >> s & low for s in shifts]))
         if rank < best:
             best = rank
             if best == 1:

@@ -1,13 +1,12 @@
 """The lattice of all subspaces of GF(q)^n.
 
 A `Subspace` is held as its canonical basis: the rows of its reduced
-row-echelon form, a tuple of row tuples.  A `SubspaceLattice` holds
-each member as one int instead, its key: the packed rows
-(`matrix.PackedRows`) of the canonical basis concatenated, the first
-row highest.  Enumeration walks pivot-column patterns and ORs the free
-entries into each row directly, so every canonical basis is produced
-exactly once and nothing needs deduplicating; the output size equals
-the answer size.  `Subspace` objects of members are built only when
+row-echelon form, each packed into one int (`matrix.PackedRows`).  A
+`SubspaceLattice` holds each member as one int, its key: those packed
+rows concatenated, the first row highest.  Enumeration walks
+pivot-column patterns and ORs the free entries into each row directly,
+so every canonical basis is produced exactly once and nothing needs
+deduplicating; the output size equals the answer size.  `Subspace` objects of members are built only when
 asked for, one at a time.
 
 Lattice members are ordered by dimension and then lexicographically by
@@ -31,8 +30,7 @@ from functools import cached_property
 
 from .errors import check_guard
 from .field import GF
-from .matrix import (Matrix, PackedRows, in_row_space, orthogonal_rows,
-                     packed_rows, rref_rows)
+from .matrix import Matrix, PackedRows, orthogonal_rows, packed_rows
 
 DEFAULT_SUBSPACE_GUARD = 10 ** 6
 LATTICE_MEMBERS = "subspace lattice members"
@@ -53,13 +51,15 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 class Subspace:
     """A subspace of GF(q)^n held as its canonical basis: the rows of its
-    reduced echelon form, a tuple of row tuples.
+    reduced echelon form, each packed into one int on
+    `packed_rows(field, n)` (`matrix.PackedRows`), first row first.
+    `basis` unpacks them into row tuples.
 
     Two subspaces are equal exactly when their canonical bases are, so
     instances are safe as dict keys.
     """
 
-    __slots__ = ("field", "n", "basis")
+    __slots__ = ("field", "n", "rows")
 
     def __init__(self, field: GF, n: int, span):
         # Spanning rows (or a Matrix) from outside: validated, then reduced.
@@ -69,84 +69,99 @@ class Subspace:
         R, rank, _ = mat.rref()
         self.field = field
         self.n = n
-        self.basis = R.rows[:rank]
+        self.rows = tuple(map(packed_rows(field, n).pack, R.rows[:rank]))
 
     @classmethod
-    def _from_rref(cls, field: GF, n: int, rows: tuple) -> Subspace:
-        # Trusted path for row tuples already in canonical echelon form.
+    def _of(cls, field: GF, n: int, rows: tuple[int, ...]) -> Subspace:
+        # Trusted path for packed rows already in canonical echelon form.
         s = object.__new__(cls)
         s.field = field
         s.n = n
-        s.basis = rows
+        s.rows = rows
         return s
 
     @classmethod
     def _reduce(cls, field: GF, n: int, rows) -> Subspace:
-        # Trusted path for spanning rows built internally: one
-        # `rref_rows` elimination, with no `Matrix` and no validation.
-        reduced, rank, _ = rref_rows(field, [list(r) for r in rows], n)
-        return cls._from_rref(field, n, tuple(map(tuple, reduced[:rank])))
+        # Trusted path for spanning rows built internally: packed, then
+        # one `PackedRows.rref`, with no `Matrix` and no validation.
+        packed = packed_rows(field, n)
+        return cls._of(field, n, packed.rref(map(packed.pack, rows)))
 
     @classmethod
     def zero(cls, field: GF, n: int) -> Subspace:
-        return cls._from_rref(field, n, ())
+        return cls._of(field, n, ())
 
     @classmethod
     def full(cls, field: GF, n: int) -> Subspace:
-        return cls._from_rref(field, n, tuple(
-            tuple(int(i == j) for j in range(n)) for i in range(n)))
+        width = packed_rows(field, n).width
+        return cls._of(field, n, tuple(1 << width * j for j in reversed(range(n))))
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical basis as row tuples of field elements."""
+        unpack = packed_rows(self.field, self.n).unpack
+        return tuple(tuple(unpack(r)) for r in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def _check_ambient(self, other: Subspace):
         if self.field != other.field or self.n != other.n:
             raise ValueError("ambient space mismatch")
 
+    def _holds(self, v: int) -> bool:
+        """Whether the packed vector v lies in this subspace.  Each basis
+        row b is 1 at its pivot and every other row is 0 there, so
+        v - v[c]*b clears pivot c of v and leaves the other pivots as they
+        were; once every pivot is cleared, v is zero exactly when it is
+        the combination sum_c v[c]*b, that is, when it lies in the span.
+        At most dim row updates, with no field call."""
+        packed = packed_rows(self.field, self.n)
+        width, mask, sub, times = packed.width, packed.mask, packed.sub, packed.times
+        for b in self.rows:
+            if f := v >> (b.bit_length() - 1) // width * width & mask:
+                v = sub(v, times(f, b))
+        return not v
+
     def __le__(self, other: Subspace) -> bool:
-        """Containment: every basis row of self lies in other's row
-        space.  Both bases are canonical, so `matrix.in_row_space`
-        clears other's pivot columns from each row of self and tests
-        the remainder for zero: at most dim(self) * dim(other) row
-        updates, with no stacking and no row reduction."""
+        """Containment: every basis row of self lies in other
+        (`_holds`): at most dim(self) * dim(other) row updates, with no
+        stacking and no row reduction."""
         self._check_ambient(other)
-        if self.dim > other.dim:
-            return False
-        return in_row_space(self.field, other.basis, self.basis)
+        return self.dim <= other.dim and all(map(other._holds, self.rows))
 
     def __add__(self, other: Subspace) -> Subspace:
         self._check_ambient(other)
-        return Subspace(self.field, self.n, self.basis + other.basis)
+        return Subspace._of(self.field, self.n, packed_rows(
+            self.field, self.n).rref(self.rows + other.rows))
 
     def __and__(self, other: Subspace) -> Subspace:
         # Zassenhaus, the reference intersection (independent of masks
-        # and complements): reduce [a | a; b | 0] once; the right halves
-        # of the rows whose left half vanished are the canonical basis.
+        # and complements): reduce [a | a; b | 0] once, on rows of 2n
+        # slots; the right halves of the rows whose left half vanished
+        # are the canonical basis.
         self._check_ambient(other)
         F, n = self.field, self.n
-        rows, rank, _ = rref_rows(
-            F, [list(r + r) for r in self.basis]
-            + [list(r + (0,) * n) for r in other.basis], 2 * n)
-        return Subspace._from_rref(F, n, tuple(
-            tuple(r[n:]) for r in rows[:rank] if not any(r[:n])))
+        shift = n * packed_rows(F, n).width
+        rows = packed_rows(F, 2 * n).rref(
+            [a << shift | a for a in self.rows] + [b << shift for b in other.rows])
+        return Subspace._of(F, n, tuple(r for r in rows if not r >> shift))
 
     def orthogonal_complement(self) -> Subspace:
         """All vectors with zero dot product against this subspace, read
         off the packed canonical basis (`matrix.orthogonal_rows`)."""
-        packed = packed_rows(self.field, self.n)
-        rows = orthogonal_rows(packed, tuple(map(packed.pack, self.basis)))
-        return Subspace._from_rref(self.field, self.n, tuple(
-            tuple(packed.unpack(r)) for r in rows))
+        return Subspace._of(self.field, self.n, orthogonal_rows(
+            packed_rows(self.field, self.n), self.rows))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.field == other.field
                 and self.n == other.n
-                and self.basis == other.basis)
+                and self.rows == other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.n, self.basis))
+        return hash((self.field, self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"Subspace({self.field!r}, n={self.n}, dim={self.dim}, rows={list(map(list, self.basis))})"
@@ -249,7 +264,7 @@ class SubspaceLattice:
     def __init__(self, field: GF, n: int):
         self.field = field
         self.n = n
-        self._packed = packed = packed_rows(field, n)
+        packed = packed_rows(field, n)
         self._bits = bits = n * packed.width
         keys, counts = _member_keys(field, n)
         self._keys = keys
@@ -281,9 +296,8 @@ class SubspaceLattice:
         return map(self.__getitem__, range(len(self._keys)))
 
     def __getitem__(self, i: int) -> Subspace:
-        unpack = self._packed.unpack
-        return Subspace._from_rref(self.field, self.n, tuple(
-            tuple(unpack(r)) for r in _split(self._keys[i], self._bits)))
+        return Subspace._of(self.field, self.n,
+                            tuple(_split(self._keys[i], self._bits)))
 
     @cached_property
     def members(self) -> tuple[Subspace, ...]:
@@ -307,7 +321,7 @@ class SubspaceLattice:
 
     def index(self, s: Subspace) -> int:
         if s.field == self.field and s.n == self.n:
-            i = self._index.get(_join(map(self._packed.pack, s.basis), self._bits))
+            i = self._index.get(_join(s.rows, self._bits))
             if i is not None:
                 return i
         raise ValueError("subspace is not a member of this lattice")
@@ -322,9 +336,9 @@ class SubspaceLattice:
         symmetric, so one test fills a bit of two hyperplanes: L(L+1)/2
         `Subspace.__le__` calls for L points, on the L point and L
         hyperplane `Subspace`s built once.  Each clears at most n - 1
-        pivot columns from one row (`matrix.in_row_space`) and
-        row-reduces nothing.  Any other member X of dimension >= 2 is
-        the intersection of the hyperplanes b_perp over the basis rows
+        pivots from one packed row (`Subspace._holds`), with no field
+        call and no row reduction.  Any other member X of dimension >= 2
+        is the intersection of the hyperplanes b_perp over the basis rows
         b of X_perp; a packed basis row is its point's key.
         """
         c, dims, n, F = self.complements, self.dims, self.n, self.field

@@ -1,7 +1,7 @@
-"""Immutable dense matrices over GF(q), the exact row-space operations
-(echelon forms, containment, orthogonal complements) that the subspace
-lattice is built from, and vectors of GF(q)^k packed into one int each
-(`PackedRows`)."""
+"""Immutable dense matrices over GF(q), vectors of GF(q)^k packed into
+one int each (`PackedRows`), and the exact row-space operations on them
+(echelon forms, orthogonal complements) that the subspace lattice is
+built from."""
 
 from __future__ import annotations
 
@@ -134,8 +134,9 @@ def rref_rows(F: GF, rows: list[list[int]],
               ncols: int) -> tuple[list[list[int]], int, tuple[int, ...]]:
     """Gauss-Jordan elimination on a list of row lists, in place:
     (rows, rank, pivot columns), with the rows in reduced echelon form
-    and zero rows trailing.  `Matrix.rref` and `Subspace.__and__` share
-    it; `orthogonal_rows` uses `PackedRows.rref`."""
+    and zero rows trailing: the route of `Matrix.rref`, which parses
+    outside input.  Everything built internally is reduced on packed rows
+    (`PackedRows.rref`)."""
     sub, mul = F.sub, F.mul
     nr = len(rows)
     pivots = []
@@ -159,30 +160,6 @@ def rref_rows(F: GF, rows: list[list[int]],
         pivots.append(c)
         r += 1
     return rows, r, tuple(pivots)
-
-
-def in_row_space(F: GF, basis, rows) -> bool:
-    """Whether every row of `rows` lies in the row space of `basis`, a
-    reduced echelon basis: each row is 1 at its pivot, the first
-    non-zero entry, and every other row is 0 there.
-
-    For each basis row b with pivot c, v - v[c]*b clears column c of
-    the candidate v and leaves every other pivot column as it was.  So
-    once all pivots are cleared, v is zero exactly when it is the
-    combination sum_c v[c]*b of the basis, that is, when it lies in
-    the span.  Cost: at most dim(basis) row updates per candidate; no
-    `Matrix` is built, nothing is stacked and nothing is row-reduced.
-    """
-    sub, mul = F.sub, F.mul
-    pivoted = [(b.index(1), b) for b in basis]
-    for v in rows:
-        for c, b in pivoted:
-            f = v[c]
-            if f:
-                v = [sub(x, mul(f, y)) if y else x for x, y in zip(v, b)]
-        if any(v):
-            return False
-    return True
 
 
 def vstack(first: Matrix, *rest: Matrix) -> Matrix:

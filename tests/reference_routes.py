@@ -10,6 +10,7 @@
   tuple rows, sorted by `encoding` (the flattened canonical basis), and
   complements read off canonical bases as row lists, reduced by
   `rref_rows`.
+- `in_row_space`: containment on row lists, one field call per entry.
 - `primitive_powers`: the powers of the first primitive element, found
   by walking the whole cycle of each candidate generator.
 - `digit_add` and `digit_neg`: GF(p^e) addition and negation digit by
@@ -153,7 +154,7 @@ def all_subspaces(f: GF, n: int):
                 rows = [r[:] for r in base]
                 for (i, j), v in zip(free, assign):
                     rows[i][j] = v
-                block.append(Subspace._from_rref(f, n, tuple(map(tuple, rows))))
+                block.append(Subspace(f, n, rows))
         block.sort(key=encoding)
         yield from block
 
@@ -174,6 +175,29 @@ def orthogonal_rows(f: GF, basis, n: int) -> tuple[tuple[int, ...], ...]:
             vecs.append(v)
     rows, _, _ = rref_rows(f, vecs, n)
     return tuple(map(tuple, rows))
+
+
+def in_row_space(F: GF, basis, rows) -> bool:
+    """Whether every row of `rows` lies in the row space of `basis`, a
+    reduced echelon basis: each row is 1 at its pivot, the first
+    non-zero entry, and every other row is 0 there.
+
+    For each basis row b with pivot c, v - v[c]*b clears column c of
+    the candidate v and leaves every other pivot column as it was.  So
+    once all pivots are cleared, v is zero exactly when it is the
+    combination sum_c v[c]*b of the basis, that is, when it lies in
+    the span.
+    """
+    sub, mul = F.sub, F.mul
+    pivoted = [(b.index(1), b) for b in basis]
+    for v in rows:
+        for c, b in pivoted:
+            f = v[c]
+            if f:
+                v = [sub(x, mul(f, y)) if y else x for x, y in zip(v, b)]
+        if any(v):
+            return False
+    return True
 
 
 def primitive_powers(f: GF) -> list[int]:

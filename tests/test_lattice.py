@@ -10,7 +10,7 @@ from qmpoly import (DelsarteCode, GF, GuardExceeded, Matrix, PolymatroidTable,
                     Subspace, SubspaceLattice, check_axioms,
                     enumerate_subspaces, field, gabidulin, gaussian_binomial,
                     lattice_size, min_rank_distance, random_code,
-                    support_space, trace_dual, vstack)
+                    support_space, trace_dual, transpose_code, vstack)
 from qmpoly import lattice as lattice_module
 from qmpoly.lattice import MASK_BITS, MAX_MASK_BITS
 from qmpoly.matrix import PackedRows
@@ -189,9 +189,9 @@ def test_complements_are_cut_with_no_elimination(p, n, monkeypatch):
 
 def test_trusted_paths_build_no_matrix(gf2, monkeypatch):
     # Only outside input is validated through Matrix; lattice members,
-    # complements, support spaces, trace duals, the zero and full codes,
-    # Gabidulin and random codes are canonical row tuples as built, and
-    # codeword ranks come from row lists.
+    # complements, support spaces, trace duals, transposes, the zero and
+    # full codes, Gabidulin and random codes are canonical packed rows as
+    # built, and codeword ranks come from packed rows.
     x = Subspace(gf2, 4, [[1, 0, 1, 1], [0, 1, 1, 0]])
     code = random_code(gf2, 2, 4, 3, random.Random(5))
     calls = []
@@ -204,6 +204,7 @@ def test_trusted_paths_build_no_matrix(gf2, monkeypatch):
     assert len(SubspaceLattice(gf2, 5)) == 374
     assert support_space(x, 3).dim == 6
     assert trace_dual(code).dim == 5
+    assert transpose_code(code).shape == (4, 2)
     assert DelsarteCode.zero(gf2, 2, 4).dim == 0
     assert DelsarteCode.full(gf2, 2, 4).dim == 8
     assert x.orthogonal_complement().dim == 2
@@ -218,9 +219,9 @@ def test_trusted_paths_build_no_matrix(gf2, monkeypatch):
 
 
 def test_intersection_is_one_elimination_without_matrix(gf2, monkeypatch):
-    # Zassenhaus on the canonical row tuples: the rows of the one
+    # Zassenhaus on the canonical packed rows: the rows of the one
     # stacked reduction whose left half vanished are the answer as they
-    # stand (the old route made 4 rref and 11 Matrix.__init__ calls).
+    # stand, with no Matrix.
     a = Subspace(gf2, 4, [[1, 0, 1, 1], [0, 1, 1, 0]])
     b = Subspace(gf2, 4, [[0, 1, 1, 0], [0, 0, 0, 1]])
     inits = []
@@ -238,19 +239,20 @@ def test_intersection_is_one_elimination_without_matrix(gf2, monkeypatch):
 def test_first_mask_build_tests_containment_without_row_reduction(
         monkeypatch):
     # GF(5)^3 has L = 31 points: the build makes L(L+1)/2 containment
-    # tests, and none of them row-reduces (the old test reduced a
-    # stacked basis per call).
+    # tests on packed rows, and none of them row-reduces or calls the
+    # field's add, sub or mul.
     lat = SubspaceLattice(field(5), 3)
-    le_calls = []
-    le = Subspace.__le__
+    calls = []
+    for owner, name in [(Subspace, "__le__"), (GF, "add"), (GF, "sub"), (GF, "mul")]:
+        original = getattr(owner, name)
 
-    def counting(self, other):
-        le_calls.append(1)
-        return le(self, other)
-    monkeypatch.setattr(Subspace, "__le__", counting)
+        def counting(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counting)
     rref_calls = count_rref_calls(monkeypatch)
     lat.masks
-    assert len(le_calls) == 31 * 32 // 2 and rref_calls == []
+    assert calls == ["__le__"] * (31 * 32 // 2) and rref_calls == []
 
 
 def test_sum_and_intersection_operators(gf2):

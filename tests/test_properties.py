@@ -1,7 +1,8 @@
 """Property tests of the input parser, the CLI, the weight scan, table
-duality, the lattice's pair operations, canonical bases, packed rows
-and their dot products, packed elimination, complements and complement
-cuts, and the minimum rank distance on generated inputs.
+duality, the lattice's pair operations, subspace operators, canonical
+bases, packed rows and their dot products, packed elimination,
+complements and complement cuts, and the minimum rank distance on
+generated inputs.
 
 Examples are derandomized, so every run draws the same inputs.  Sizes
 stay small: the explicit reproductions in test_cli.py own the timing
@@ -12,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import pickle
 import random
 import tempfile
 
@@ -565,6 +567,55 @@ def test_orthogonal_complement_matches_the_reference_kernel(case):
     space = Subspace(f, n, rows) if rows else Subspace.zero(f, n)
     assert (space.orthogonal_complement().basis
             == reference_routes.orthogonal_rows(f, space.basis, n))
+
+
+OPERATOR_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2053, 1), (2, 16)]
+
+
+def stacked_rref(f, n, rows) -> tuple:
+    reduced, rank, _ = rref_rows(f, [list(r) for r in rows], n)
+    return tuple(map(tuple, reduced[:rank]))
+
+
+@st.composite
+def subspace_cases(draw):
+    """A field of OPERATOR_FIELDS, n in 0..4, spanning rows of a subspace
+    X, a second subspace Y (the zero and full spaces among both) and a
+    vector v of GF(q)^n."""
+    f = field(*draw(st.sampled_from(OPERATOR_FIELDS)))
+    n = draw(st.integers(0, 4))
+    entry = st.sampled_from([0, 1, f.q - 1]) | st.integers(0, f.q - 1)
+    vec = st.lists(entry, min_size=n, max_size=n)
+    rows = draw(st.lists(vec, max_size=n + 1)
+                | st.just([[int(i == j) for j in range(n)] for i in range(n)]))
+    y = draw(st.sampled_from([Subspace.zero(f, n), Subspace.full(f, n)])
+             | st.lists(vec, max_size=n).map(lambda r: Subspace(f, n, r)))
+    return f, n, rows, y, draw(vec)
+
+
+@SETTINGS
+@given(subspace_cases())
+def test_subspace_operators_match_the_list_routes(case):
+    # Subspace works on packed rows; every operator against the row-list
+    # routes: containment by `in_row_space`, sums by one stacked
+    # `rref_rows` reduction, meets and complements by list-based kernels.
+    f, n, rows, y, v = case
+    x = Subspace(f, n, rows)
+    assert x.basis == Subspace._reduce(f, n, rows).basis == stacked_rref(f, n, rows)
+    assert Subspace(f, n, x.basis) == x == pickle.loads(pickle.dumps(x))
+    perp = reference_routes.orthogonal_rows
+    assert x.orthogonal_complement().basis == perp(f, x.basis, n)
+    assert (x + y).basis == stacked_rref(f, n, x.basis + y.basis)
+    assert (x & y).basis == perp(f, stacked_rref(
+        f, n, perp(f, x.basis, n) + perp(f, y.basis, n)), n)
+    for a, b in [(x, y), (y, x), (x & y, x), (y, x + y)]:
+        assert (a <= b) == reference_routes.in_row_space(f, b.basis, a.basis)
+    m = 2 if n in (2, 4) else 1
+    code = DelsarteCode(f, m, n // m, rows)
+    assert code == pickle.loads(pickle.dumps(code))
+    for w in (v, *x.basis):
+        assert (code.contains_matrix(devectorize(f, m, n // m, w))
+                == reference_routes.in_row_space(f, x.basis, [w]))
 
 
 @st.composite
