@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import check_guard
 from .field import GF, _digits, field
 from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
-from .matrix import Matrix, packed_rows
+from .matrix import Matrix, PackedRows, packed_rows
 from .polymatroid import (PolymatroidTable, WeightProfile, _first_reaching,
                           conullity_table, generalized_weights)
 
@@ -200,9 +200,9 @@ def subcode_dims(code: DelsarteCode,
     rows are reduced once by `PackedRows.rref`, with no `Matrix` and no
     field call.  When m*k < n the entries are packed into one int of m*k
     slots, scaled so that its leading slot is 1, and each distinct
-    packed block is reduced once in the call, as a `Matrix`, and its
-    packed rows shared by every point that carries it.  The reduced echelon form is canonical for the row
-    space, so both routes give the same lines.  A walk then goes down
+    packed block is reduced once in the call, as a `Subspace` of
+    GF(q)^k shared by every point that carries it.  Echelon forms are
+    canonical, so both routes give the same lines.  A walk then goes down
     the parent tree a dimension at a time from the zero space.  It
     expands only the children (`SubspaceLattice.children`) of the
     frontier, the members below rank k; only they keep a basis, and a
@@ -263,10 +263,8 @@ def subcode_dims(code: DelsarteCode,
             found = shared.get(key)
             if found is None:
                 entries = blocks.unpack(key)
-                reduced, rank, _ = Matrix(F, [entries[r * k:(r + 1) * k]
-                                              for r in range(m)], k).rref()
-                found = shared[key] = tuple(map(packed.pack,
-                                                reduced.rows[:rank]))
+                found = shared[key] = Subspace(
+                    F, k, [entries[r * k:(r + 1) * k] for r in range(m)]).rows
             lines.append(found)
     # ranks[i] is dim W(member i); members the walk does not reach keep
     # rank k.  A frontier entry, for a member below rank k with children,
@@ -533,11 +531,20 @@ def gabidulin(base: GF, m: int, n: int, k: int) -> DelsarteCode:
 # -- distance and MRD -------------------------------------------------
 
 
+def _combination(packed: PackedRows, coeffs, rows) -> int:
+    """The packed sum_i coeffs[i] * rows[i], for field elements coeffs."""
+    slot, vec = packed.field.slot, 0
+    for c, row in zip(coeffs, rows):
+        if c:
+            vec = packed.add(vec, packed.times(slot[c], row))
+    return vec
+
+
 def min_rank_distance(code: DelsarteCode,
                       guard: int = DEFAULT_CODEWORD_GUARD) -> int:
     """Minimum rank over all nonzero codewords, by full enumeration;
-    each codeword is a packed combination of the code's packed rows, and
-    its rank is the length of one `PackedRows.rref` of its m row slices."""
+    each codeword is a `_combination` of the code's packed rows, and its
+    rank is the length of one `PackedRows.rref` of its m row slices."""
     k = code.dim
     if k == 0:
         raise ValueError("zero code has no distance")
@@ -549,10 +556,7 @@ def min_rank_distance(code: DelsarteCode,
     low, shifts = (1 << bits) - 1, range((m - 1) * bits, -1, -bits)
     best = min(m, n)
     for enc in range(1, count + 1):
-        vec = 0
-        for c, row in zip(_digits(enc, F.q, k), code.space.rows):
-            if c:
-                vec = space.add(vec, space.times(F.slot[c], row))
+        vec = _combination(space, _digits(enc, F.q, k), code.space.rows)
         rank = len(packed.rref([vec >> s & low for s in shifts]))
         if rank < best:
             best = rank
@@ -616,33 +620,27 @@ def random_code(field: GF, m: int, n: int, k: int,
 
     Rejection-samples k rows of length m*n until they are independent;
     every subspace has the same number of such bases, so canonicalizing
-    the row space samples uniformly.
+    the row space samples uniformly.  For k = 0 nothing is drawn.
     """
     if not 0 <= k <= m * n:
         raise ValueError(f"dimension {k} outside 0..{m * n}")
-    if k == 0:
-        return DelsarteCode.zero(field, m, n)
-    width = m * n
-    q = field.q
     while True:
-        rows = [[rng.randrange(q) for _ in range(width)] for _ in range(k)]
-        space = Subspace._reduce(field, width, rows)
+        rows = [[rng.randrange(field.q) for _ in range(m * n)]
+                for _ in range(k)]
+        space = Subspace._reduce(field, m * n, rows)
         if space.dim == k:
             return DelsarteCode._of(space, m, n)
 
 
 def random_subcode(code: DelsarteCode, k: int,
                    rng: random.Random) -> DelsarteCode:
-    """Uniformly random k-dimensional subcode."""
+    """Uniformly random k-dimensional subcode: the image of a random
+    k-dimensional coefficient space (`random_code` of shape 1 x dim)
+    under the code's independent basis rows, one `_combination` a row."""
     if not 0 <= k <= code.dim:
         raise ValueError(f"subcode dimension {k} outside 0..{code.dim}")
-    if k == 0:
-        return DelsarteCode.zero(code.field, code.nrows, code.ncols)
-    F = code.field
-    q = F.q
-    while True:
-        coeff = Matrix(F, [[rng.randrange(q) for _ in range(code.dim)]
-                           for _ in range(k)], code.dim)
-        if coeff.rank() == k:
-            picked = coeff @ Matrix(F, code.basis, code.ambient_dim)
-            return DelsarteCode(F, code.nrows, code.ncols, picked)
+    F, m, n = code.field, code.nrows, code.ncols
+    packed = packed_rows(F, m * n)
+    rows = [_combination(packed, c, code.space.rows)
+            for c in random_code(F, 1, code.dim, k, rng).basis]
+    return DelsarteCode._of(Subspace._of(F, m * n, packed.rref(rows)), m, n)

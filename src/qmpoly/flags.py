@@ -207,6 +207,8 @@ def relative_weights(outer: DelsarteCode,
 def random_flag(f: GF, m: int, n: int, length: int,
                 rng: random.Random) -> Flag:
     """Strictly decreasing random flag of the given length."""
+    if not 1 <= length <= m * n + 1:
+        raise ValueError(f"flag length {length} outside 1..{m * n + 1}")
     dims = sorted(rng.sample(range(m * n + 1), length), reverse=True)
     codes = [random_code(f, m, n, dims[0], rng)]
     for d in dims[1:]:

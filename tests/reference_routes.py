@@ -6,6 +6,8 @@
   generator is built as a `Matrix`.
 - `random_code`: rejection sampling that tests the rank of a `Matrix`
   of the drawn rows.
+- `random_subcode_by_products`: the same sampling on coefficient rows,
+  whose `Matrix` product with the code's basis spans the subcode.
 - `all_subspaces` and `orthogonal_rows`: the lattice enumeration on
   tuple rows, sorted by `encoding` (the flattened canonical basis), and
   complements read off canonical bases as row lists, reduced by
@@ -131,6 +133,23 @@ def random_code(f: GF, m: int, n: int, k: int,
                          for _ in range(k)], width)
         if mat.rank() == k:
             return DelsarteCode(f, m, n, mat)
+
+
+def random_subcode_by_products(code: DelsarteCode, k: int,
+                               rng: random.Random) -> DelsarteCode:
+    """Uniformly random k-dimensional subcode."""
+    if not 0 <= k <= code.dim:
+        raise ValueError(f"subcode dimension {k} outside 0..{code.dim}")
+    if k == 0:
+        return DelsarteCode.zero(code.field, code.nrows, code.ncols)
+    F = code.field
+    q = F.q
+    while True:
+        coeff = Matrix(F, [[rng.randrange(q) for _ in range(code.dim)]
+                           for _ in range(k)], code.dim)
+        if coeff.rank() == k:
+            picked = coeff @ Matrix(F, code.basis, code.ambient_dim)
+            return DelsarteCode(F, code.nrows, code.ncols, picked)
 
 
 def encoding(s: Subspace) -> tuple[int, ...]:

@@ -543,6 +543,23 @@ def test_random_code_draws_as_the_matrix_route(gf2, gf3, gf4):
             assert a.getstate() == b.getstate()
 
 
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 8)])
+def test_random_subcode_draws_as_the_product_route(p, e):
+    # The coefficient space is drawn by random_code's sampler, with the
+    # same draws and the same acceptance as the Matrix product route.
+    f = field(p, e)
+    for m, n in [(1, 2), (2, 2), (2, 3), (3, 2)]:
+        for d in sorted({(m * n) // 2, m * n - 1, m * n}):
+            code = random_code(f, m, n, d, random.Random(d))
+            for k in range(d + 1):
+                for seed in range(3):
+                    a, b = random.Random(seed), random.Random(seed)
+                    sub = random_subcode(code, k, a)
+                    assert sub == reference_routes.random_subcode_by_products(
+                        code, k, b)
+                    assert a.getstate() == b.getstate()
+
+
 def test_gabidulin_prime_power_base(gf4):
     c = gabidulin(gf4, 2, 2, 1)
     assert c.dim == 2

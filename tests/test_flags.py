@@ -107,6 +107,23 @@ def test_flag_table_is_the_alternating_sum_of_member_tables(length, gf2, gf3):
                 sum((-1) ** j * t[i] for j, t in enumerate(tables))
                 for i in range(len(lat)))
 
+
+def test_random_flag_lengths(gf2):
+    # Any length from 1 to m*n + 1 is drawn; any other is refused before
+    # a draw.
+    rng = random.Random(4)
+    for length in (1, 7):
+        flag = random_flag(gf2, 2, 3, length, rng)
+        assert flag.length == length and flag.is_strict()
+    for length in (0, -1, 8):
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=r"flag length .* outside 1\.\.7"):
+            random_flag(gf2, 2, 3, length, rng)
+        assert rng.getstate() == state
+    with pytest.raises(ValueError, match=r"outside 1\.\.5"):
+        random_flag(gf2, 2, 2, 0, rng)
+
+
 def test_flag_table_bounds(gf2):
     rng = random.Random(11)
     lat = enumerate_subspaces(gf2, 3)

@@ -10,7 +10,8 @@ from qmpoly import (DelsarteCode, GF, GuardExceeded, Matrix, PolymatroidTable,
                     Subspace, SubspaceLattice, check_axioms,
                     enumerate_subspaces, field, gabidulin, gaussian_binomial,
                     lattice_size, min_rank_distance, random_code,
-                    support_space, trace_dual, transpose_code, vstack)
+                    random_flag, random_subcode, support_space, trace_dual,
+                    transpose_code, vstack)
 from qmpoly import lattice as lattice_module
 from qmpoly.lattice import MASK_BITS, MAX_MASK_BITS
 from qmpoly.matrix import PackedRows
@@ -190,8 +191,9 @@ def test_complements_are_cut_with_no_elimination(p, n, monkeypatch):
 def test_trusted_paths_build_no_matrix(gf2, monkeypatch):
     # Only outside input is validated through Matrix; lattice members,
     # complements, support spaces, trace duals, transposes, the zero and
-    # full codes, Gabidulin and random codes are canonical packed rows as
-    # built, and codeword ranks come from packed rows.
+    # full codes, Gabidulin codes, random codes, subcodes and flags are
+    # canonical packed rows as built, and codewords and their ranks come
+    # from packed rows.
     x = Subspace(gf2, 4, [[1, 0, 1, 1], [0, 1, 1, 0]])
     code = random_code(gf2, 2, 4, 3, random.Random(5))
     calls = []
@@ -215,6 +217,9 @@ def test_trusted_paths_build_no_matrix(gf2, monkeypatch):
         assert min_rank_distance(gab) == n - k + 1
     assert random_code(gf2, 3, 3, 4, random.Random(1)).dim == 4
     assert min_rank_distance(code) == 1
+    rng = random.Random(6)
+    assert random_subcode(code, 2, rng).is_subcode_of(code)
+    assert random_flag(gf2, 2, 3, 3, rng).length == 3
     assert calls == []
 
 
