@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import check_guard
@@ -164,6 +165,48 @@ def support_space(x: Subspace, m: int) -> DelsarteCode:
     return DelsarteCode._of(Subspace._of(x.field, m * x.n, rows), m, x.n)
 
 
+def _point_blocks(code: DelsarteCode) -> list[int]:
+    """Every point's m-by-k block, in the order of
+    `SubspaceLattice.point_keys`: one int of m*k slots on
+    `packed_rows(field, m*k)`, slot (r, i) the dot of G_i[r] with the
+    point's canonical basis row b.
+
+    The block is linear in b.  A point with pivot c has b_c = 1 and
+    b_j = 0 for j < c, so its block is K_c + sum_(j > c) b_j K_j, where
+    slot (r, i) of the unit block K_j is coordinate j of G_i[r], read off
+    the code's packed row i by shift and mask.  Points come pivot n-1
+    first, and each pivot's fillings of its later coordinates in
+    `lattice._member_keys`' product order: the last coordinate fastest,
+    and each coordinate b_j in element order, its lowest base-p digit
+    fastest.  b_j K_j is GF(p)-linear in b_j, the sum over the digit
+    positions d of digit d times x^d K_j, as `GF._slot_powers` builds its
+    tables.  So the blocks of pivot c grow from [K_c] a digit of a
+    coordinate at a time, the last coordinate and the lowest digit
+    first: the blocks so far, then each of them plus each multiple
+    1..p-1 of x^d K_j.  That is one slot add (XOR when p = 2) per point,
+    with no dot product, and one `PackedRows.times` per digit position
+    of each coordinate.
+    """
+    F, m, n = code.field, code.nrows, code.ncols
+    flat = packed_rows(F, m * code.dim)
+    add, width, mask = flat.add, flat.width, flat.mask
+    blocks: list[int] = []
+    steps: list[list[int]] = []  # the digit multiples of K_(n-1) .. K_(c+1)
+    for c in reversed(range(n)):
+        unit = 0
+        for r in range(m):
+            shift = (m * n - 1 - r * n - c) * width
+            for g in code.space.rows:
+                unit = unit << width | g >> shift & mask
+        out = [unit]
+        for step in steps:
+            out += [add(t, x) for t in step for x in out]
+        blocks += out
+        steps += [list(accumulate(repeat(flat.times(F.slot[F.p ** d], unit),
+                                         F.p - 1), add)) for d in range(F.e)]
+    return blocks
+
+
 def subcode_dims(code: DelsarteCode,
                  lattice: SubspaceLattice) -> tuple[int, ...]:
     """dim of the supported subcode at every lattice member.
@@ -183,38 +226,38 @@ def subcode_dims(code: DelsarteCode,
     - Monotonicity.  The parent lies in the member, so W(parent) <=
       W(member): every descendant of a rank-k member in the parent tree
       has rank k too (axiom R2 of the code's rank function).
-    - Shared blocks.  A point's m-by-k block is linear in the point,
-      and scaling a block keeps its row space.  When m*k < n the map
-      from points to blocks has a kernel, so many points carry one
-      block up to a scalar (q^n - 1 non-zero vectors land on at most
-      q^(mk) blocks); when m*k >= n it is injective as a rule, and
-      keying blocks would only cost.
+    - Linear blocks.  A point's m-by-k block is linear in the point, so
+      the blocks of all L points are sums of n unit blocks and their
+      multiples, and scaling a block keeps its row space.  Points share
+      blocks wherever the map from points to blocks has a kernel: always
+      when m*k < n (q^n - 1 non-zero vectors land on at most q^(mk)
+      blocks), and when m*k >= n on codes such as support spaces.
 
-    So W of each of the L points (lattice positions 1..L) is computed
-    and row-reduced, and its reduced rows are packed into one int each
-    (`matrix.PackedRows`).  A point's key is its canonical basis row b,
-    packed, so entry (r, i) of its m-by-k block is one `PackedRows.dot`
-    of the key with G_i[r], read off the code's packed row i by shift
-    and mask; no matrix product is formed.  When m*k >= n each block row
-    r is packed on k slots, slot i its entry (r, i), and each point's m
-    rows are reduced once by `PackedRows.rref`, with no `Matrix` and no
-    field call.  When m*k < n the entries are packed into one int of m*k
-    slots, scaled so that its leading slot is 1, and each distinct
-    packed block is reduced once in the call, as a `Subspace` of
-    GF(q)^k shared by every point that carries it.  Echelon forms are
-    canonical, so both routes give the same lines.  A walk then goes down
-    the parent tree a dimension at a time from the zero space.  It
-    expands only the children (`SubspaceLattice.children`) of the
-    frontier, the members below rank k; only they keep a basis, and a
-    member the walk does not reach is not visited at all.  W of a child
-    is W(parent) with the packed rows of its last line merged in: a
-    short echelon insert into a basis of at most k vectors, stopped once
-    the rank reaches k.  A merge subtracts packed rows (XOR in
-    characteristic 2, a slot-wise add for odd p) and finds each leading
-    coordinate by `int.bit_length`; it scales by `PackedRows.times`,
-    with no field call, and keeps each multiple it makes.  A child whose
-    last line alone has rank k is not merged.  The full code has dim
-    C(X) = m*dim X and the zero code 0; neither needs any of this.
+    So the block of each of the L points (lattice positions 1..L) is
+    built as one int of m*k slots, slot (r, i) its entry (r, i), at one
+    slot add per point (`_point_blocks`), and one dict keyed by the block
+    holds the reduced rows of W of each distinct block, packed
+    (`matrix.PackedRows`).  On a miss, when m*k >= n the key's m rows of
+    k slots, shifts of the key, are reduced by one `PackedRows.rref`, with
+    no `Matrix` and no field call, and kept under the key.  When m*k < n
+    the block is scaled to a leading 1 and looked up again; each distinct
+    scaled block is reduced once in the call, as a `Subspace` of GF(q)^k,
+    and kept under the scaled key only, so the dict holds no more entries
+    than there are blocks up to scalars, and a block with a leading 1 is
+    found at once.  Echelon forms are canonical, so both routes give the
+    same lines.  A walk then goes down the parent tree a dimension at a time
+    from the zero space.  It expands only the children
+    (`SubspaceLattice.children`) of the frontier, the members below rank
+    k; only they keep a basis, and a member the walk does not reach is
+    not visited at all.  W of a child is W(parent) with the packed rows
+    of its last line merged in: a short echelon insert into a basis of at
+    most k vectors, stopped once the rank reaches k.  A merge subtracts
+    packed rows (XOR in characteristic 2, a slot-wise add for odd p) and
+    finds each leading coordinate by `int.bit_length`; it scales by
+    `PackedRows.times`, with no field call, and keeps each multiple it
+    makes.  A child whose last line alone has rank k is not merged.  The
+    full code has dim C(X) = m*dim X and the zero code 0; neither needs
+    any of this.
     """
     if code.field != lattice.field or code.ncols != lattice.n:
         raise ValueError("lattice ambient does not match code columns")
@@ -224,48 +267,28 @@ def subcode_dims(code: DelsarteCode,
     if k == 0:
         return (0,) * len(lattice)
     F, m, n = code.field, code.nrows, code.ncols
-    # gens[r][i] is G_i[r], packed as the point keys are, so entry (r, i)
-    # of a point's block is the dot of the two, a slot value: row r's
-    # slots of the packed generator G_i, by shift and mask.
-    dot = packed_rows(F, n).dot
-    packed = packed_rows(F, k)
+    packed, flat = packed_rows(F, k), packed_rows(F, m * k)
     sub, times, inverse = packed.sub, packed.times, packed.inverse
     width, mask = packed.width, packed.mask
-    low = (1 << n * width) - 1
-    gens = [[g >> (m - 1 - r) * n * width & low for g in code.space.rows]
-            for r in range(m)]
-
+    # Block row r is the key's slots (r, 0..k-1), by shift and mask.
+    low = (1 << k * width) - 1
+    shifts = [(m - 1 - r) * k * width for r in range(m)]
+    shared: dict[int, tuple[int, ...]] = {}
     lines: list[tuple[int, ...]] = [()]
-    if m * k >= n:
-        # Block row r packed on k slots, slot i = entry (r, i).
-        rref = packed.rref
-        for b in lattice.point_keys:
-            rows = []
-            for row in gens:
-                x = 0
-                for g in row:
-                    x = x << width | dot(b, g)
-                rows.append(x)
-            lines.append(rref(rows))
-    else:
-        # A block packed into one int, slot (r, i) = entry (r, i), and
-        # scaled to a leading 1, keys the lines of every point carrying it.
-        blocks = packed_rows(F, m * k)
-        flat = [g for row in gens for g in row]
-        shared: dict[int, tuple[int, ...]] = {}
-        for b in lattice.point_keys:
-            key = 0
-            for g in flat:
-                key = key << width | dot(b, g)
-            if key:
-                key = blocks.times(blocks.inverse(
+    for key in _point_blocks(code):
+        found = shared.get(key)
+        if found is None:
+            if m * k >= n:
+                found = shared[key] = packed.rref(
+                    [key >> s & low for s in shifts])
+            else:
+                scaled = key and flat.times(inverse(
                     key >> (key.bit_length() - 1) // width * width), key)
-            found = shared.get(key)
-            if found is None:
-                entries = blocks.unpack(key)
-                found = shared[key] = Subspace(
-                    F, k, [entries[r * k:(r + 1) * k] for r in range(m)]).rows
-            lines.append(found)
+                found = shared.get(scaled)
+                if found is None:
+                    found = shared[scaled] = Subspace(F, k, [
+                        packed.unpack(scaled >> s & low) for s in shifts]).rows
+        lines.append(found)
     # ranks[i] is dim W(member i); members the walk does not reach keep
     # rank k.  A frontier entry, for a member below rank k with children,
     # is the run of its children, its rank and its basis: basis[j] is the

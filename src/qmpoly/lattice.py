@@ -63,9 +63,13 @@ class Subspace:
 
     def __init__(self, field: GF, n: int, span):
         # Spanning rows (or a Matrix) from outside: validated, then reduced.
-        mat = span if isinstance(span, Matrix) else Matrix(field, span, ncols=n)
-        if mat.field != field or mat.ncols != n:
-            raise ValueError(f"spanning rows in {mat.field!r}^{mat.ncols}, ambient {field!r}^{n}")
+        # A Matrix built here from rows has the field and width already.
+        if isinstance(span, Matrix):
+            mat = span
+            if mat.field != field or mat.ncols != n:
+                raise ValueError(f"spanning rows in {mat.field!r}^{mat.ncols}, ambient {field!r}^{n}")
+        else:
+            mat = Matrix(field, span, ncols=n)
         R, rank, _ = mat.rref()
         self.field = field
         self.n = n

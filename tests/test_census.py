@@ -3,7 +3,9 @@
 Every m x n code over GF(q) is a member of the lattice of GF(q)^(mn),
 so that lattice lists them all.  `check_codes` checks each nonzero code
 of a shape and `check_pairs` each pair C2 < C1 of codes of a shape;
-both return how many they checked.  Larger shapes run the same checks
+both return how many they checked.  `check_block_tables` and
+`check_transpose_min` do the same for the paper's demi-polymatroids,
+which no code table is.  Larger shapes run the same checks
 outside the test suite:
 
     PYTHONPATH=src:tests python -c "from qmpoly import field; \\
@@ -18,9 +20,11 @@ import pytest
 import reference_routes
 from qmpoly import (DelsarteCode, Flag, Verdict, anticode_weights,
                     check_axioms, enumerate_subspaces, field,
-                    generalized_weights, normalize_flag, relative_weights,
-                    residue_partition, to_polymatroid, trace_dual,
-                    verify_flag_duality, wei_duality_report)
+                    generalized_weights, intersection_demipolymatroid,
+                    normalize_flag, relative_weights, residue_partition,
+                    sum_polymatroid, to_polymatroid, trace_dual,
+                    transpose_min_polymatroid, verify_flag_duality,
+                    wei_duality_report)
 
 
 def all_codes(f, m, n):
@@ -84,3 +88,63 @@ def test_every_nonzero_code_satisfies_the_theorems(p, e, m, n, count):
 
 def test_every_gf2_2x2_pair_satisfies_flag_duality_and_the_partition():
     assert check_pairs(field(2), 2, 2) == 446
+
+
+def check_demi(table) -> bool:
+    """A (q,m)-demi-polymatroid at least, with the Wei partition and
+    disjointness of its weights and its dual's; whether it is strictly
+    demi (not a polymatroid)."""
+    verdict = check_axioms(table).verdict
+    assert verdict != Verdict.NEITHER
+    wei = wei_duality_report(table)
+    assert wei.partition_ok and wei.disjoint_ok
+    return verdict == Verdict.DEMI_POLYMATROID
+
+
+def check_block_tables(f, n, top) -> tuple[int, int]:
+    """For every multiset of one or two members V_i of the lattice of
+    GF(q)^n, with weights w_i in 1..top: the intersection table is a
+    demi-polymatroid whose dual is the same construction on the
+    orthogonal complements, and the sum table of the blocks, each V_i
+    w_i times, is a polymatroid; both pass the Wei checks.  Returns the
+    number of families and of strictly demi intersection tables: those
+    with a V_i other than 0 and the whole space, on which dim(V_i & J) is
+    supermodular in J and not modular."""
+    lat = enumerate_subspaces(f, n)
+    members = list(lat)
+    weights = range(1, top + 1)
+    families = [[(v, w)] for v in members for w in weights]
+    families += [[(u, a), (v, b)]
+                 for u, v in itertools.combinations_with_replacement(members, 2)
+                 for a in weights for b in weights]
+    strict = 0
+    for family in families:
+        spaces, ws = zip(*family)
+        table = intersection_demipolymatroid(spaces, ws, lat)
+        strict += check_demi(table)
+        perps = [v.orthogonal_complement() for v in spaces]
+        assert table.dual() == intersection_demipolymatroid(perps, ws, lat), family
+        blocks = sum_polymatroid([v for v, w in family for _ in range(w)], lat)
+        assert not check_demi(blocks), family  # a polymatroid
+    return len(families), strict
+
+
+def check_transpose_min(f, m) -> tuple[int, int]:
+    """The transpose-min table of every nonzero m x m code is a
+    demi-polymatroid that passes the Wei checks; returns the number of
+    codes and of strictly demi tables."""
+    lat = enumerate_subspaces(f, m)
+    codes = all_codes(f, m, m)[1:]
+    return len(codes), sum(check_demi(transpose_min_polymatroid(c, lat))
+                           for c in codes)
+
+
+@pytest.mark.parametrize("p,n,top,counts", [(2, 3, 2, (576, 560)),
+                                            (3, 2, 3, (207, 174))])
+def test_every_small_block_table_is_a_demi_polymatroid(p, n, top, counts):
+    assert check_block_tables(field(p), n, top) == counts
+
+
+@pytest.mark.parametrize("p,counts", [(2, (66, 18)), (3, (211, 32))])
+def test_every_2x2_transpose_min_table_is_a_demi_polymatroid(p, counts):
+    assert check_transpose_min(field(p), 2) == counts

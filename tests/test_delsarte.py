@@ -168,14 +168,19 @@ def test_subcode_dims_match_the_per_member_formula_at_the_walk_extremes(case):
 @pytest.mark.parametrize("p,e,m,n", [(2, 1, 2, 5), (2, 1, 4, 3), (2, 1, 1, 4),
                                      (3, 1, 2, 3), (2, 2, 2, 3), (5, 1, 3, 2),
                                      (3, 2, 2, 2), (2, 3, 2, 3), (3, 3, 2, 2),
-                                     (5, 2, 2, 2), (2053, 1, 2, 2)])
+                                     (5, 2, 2, 2), (2053, 1, 2, 2),
+                                     (2, 3, 1, 3), (3, 2, 1, 3), (5, 2, 1, 2),
+                                     (3, 3, 3, 2), (2, 3, 2, 1), (3, 2, 3, 1),
+                                     (5, 2, 2, 1), (3, 3, 1, 1)])
 def test_subcode_dims_match_the_per_member_formula(p, e, m, n):
-    # k below, at and above m, and the zero and full codes
+    # k below, at and above m, and the zero and full codes; GF(9), GF(25)
+    # and GF(27) have slot encodings that differ from their elements, and
+    # n = 1 has a single point.
     f = field(p, e)
     lat = enumerate_subspaces(f, n)
     rng = random.Random(f"{p}^{e} {m}x{n}")
     ks = {0, 1, m - 1, m, m + 1, rng.randrange(m * n + 1), m * n - 1, m * n}
-    for k in sorted(ks):
+    for k in sorted(ks & set(range(m * n + 1))):
         c = random_code(f, m, n, k, rng)
         assert subcode_dims(c, lat) == reference_subcode_dims(c, lat), k
 
@@ -214,10 +219,10 @@ def test_subcode_dims_shared_blocks_match_the_per_member_formula(code):
 
 @st.composite
 def per_point_block_codes(draw):
-    """Codes with m*k >= n, whose points each get a block of their own
-    reduced on packed rows: random codes, and subcodes of the support
-    space of a proper subspace X, whose blocks vanish at the points of
-    X_perp and lose rank at others."""
+    """Codes with m*k >= n, whose distinct point blocks are each reduced
+    once on packed rows: random codes, and subcodes of the support space
+    of a proper subspace X, whose blocks vanish at the points of X_perp
+    and lose rank at others."""
     p, e, m, n = draw(st.sampled_from([
         (2, 1, 2, 4), (2, 1, 3, 4), (2, 1, 2, 5), (3, 1, 2, 3),
         (3, 1, 3, 3), (2, 2, 2, 3), (5, 1, 2, 3), (3, 2, 2, 2),
@@ -247,9 +252,10 @@ def test_subcode_dims_per_point_blocks_match_the_per_member_formula(code):
         assert subcode_dims(c, lat) == reference_subcode_dims(c, lat)
 
 
-def distinct_blocks_up_to_scalars(code, lat):
+def distinct_blocks_up_to_scalars(code, lat, scaled=True):
     """How many distinct m-by-k point blocks there are once each is
-    scaled to a leading 1, by field arithmetic on the unpacked points."""
+    scaled to a leading 1 (as they are, if not `scaled`), by field
+    arithmetic on the unpacked points."""
     F, m, n = code.field, code.nrows, code.ncols
     unpack = packed_rows(F, n).unpack
     seen = set()
@@ -262,7 +268,7 @@ def distinct_blocks_up_to_scalars(code, lat):
                 for x, y in zip(g[r * n:(r + 1) * n], b):
                     acc = F.add(acc, F.mul(x, y))
                 block.append(acc)
-        lead = next((v for v in block if v), 1)
+        lead = next((v for v in block if v), 1) if scaled else 1
         seen.add(tuple(F.mul(F.inv(lead), v) for v in block))
     return len(seen)
 
@@ -323,10 +329,53 @@ def test_subcode_dims_row_reduces_once_per_point(gf2, monkeypatch):
     assert dims == reference_subcode_dims(code, lat)
 
 
+def test_subcode_dims_reduces_each_distinct_raw_block_once(gf2, monkeypatch):
+    # m*k = 18 >= n = 6, but a block depends on the point only through
+    # its dots with the basis of X, so the 63 points carry 4 blocks, and
+    # each is reduced once on packed rows.
+    x = Subspace(gf2, 6, [(1, 0, 0, 1, 1, 0), (0, 1, 0, 0, 1, 1)])
+    code = support_space(x, 3)
+    lat = enumerate_subspaces(gf2, 6)
+    calls = []
+    rref = PackedRows.rref
+
+    def counting(self, rows):
+        calls.append(len(rows))
+        return rref(self, rows)
+    monkeypatch.setattr(PackedRows, "rref", counting)
+    dims = subcode_dims(code, lat)
+    monkeypatch.undo()
+    assert calls == [3] * 4
+    assert distinct_blocks_up_to_scalars(code, lat, scaled=False) == 4
+    assert dims == reference_subcode_dims(code, lat)
+
+
+@pytest.mark.parametrize("p,e,m,n,k", [
+    (2, 1, 2, 6, 2), (2, 1, 3, 4, 5), (3, 1, 2, 4, 3), (2, 2, 2, 3, 2),
+    (2, 3, 1, 3, 2), (3, 2, 2, 3, 3), (5, 2, 2, 2, 3), (3, 3, 1, 2, 1),
+    (5, 1, 1, 1, 1), (2, 16, 1, 2, 1)])
+def test_point_blocks_are_the_dots_of_the_point_keys(p, e, m, n, k):
+    # Block slot (r, i) of each point, in point_keys order, is the dot of
+    # its key with row r of generator i.
+    f = field(p, e)
+    lat = enumerate_subspaces(f, n)
+    code = random_code(f, m, n, k, random.Random(f"{p}^{e} {m}x{n} {k}"))
+    dot, width = packed_rows(f, n).dot, packed_rows(f, n).width
+    low = (1 << n * width) - 1
+    want = []
+    for b in lat.point_keys:
+        block = 0
+        for r in range(m):
+            for g in code.space.rows:
+                block = block << width | dot(b, g >> (m - 1 - r) * n * width & low)
+        want.append(block)
+    assert qmpoly.delsarte._point_blocks(code) == want
+
+
 def test_subcode_dims_merges_make_no_field_calls(monkeypatch):
-    # When m*k >= n the packed dot products, the per-point packed
-    # reductions and the packed merges scale through the field's slot
-    # tables: no field method is called anywhere in subcode_dims.
+    # When m*k >= n the block sums, the packed reductions of the distinct
+    # blocks and the packed merges scale through the field's slot tables:
+    # no field method is called anywhere in subcode_dims.
     calls = []
 
     def counted(fn):
@@ -352,10 +401,11 @@ def test_subcode_dims_merges_make_no_field_calls(monkeypatch):
                                        (5, 1, 2, 3, 4), (2, 1, 2, 6, 2),
                                        (3, 1, 1, 4, 2)])
 def test_subcode_dims_forms_no_product(p, e, m, n, k, monkeypatch):
-    # A point's block is read off packed dot products with its key: no
-    # Matrix product or transpose.  When m*k >= n no Matrix is built at
-    # all; when m*k < n there is one (m, k) block Matrix per distinct
-    # block up to scalars, each reduced once.
+    # A point's block is a sum of the code's unit blocks and their
+    # multiples, built by slot adds: no Matrix product or transpose, and
+    # no packed dot product.  When m*k >= n no Matrix is built at all;
+    # when m*k < n there is one (m, k) block Matrix per distinct block up
+    # to scalars, each reduced once.
     f = field(p, e)
     lat = enumerate_subspaces(f, n)
     code = random_code(f, m, n, k, random.Random(p * n + k))
@@ -363,6 +413,9 @@ def test_subcode_dims_forms_no_product(p, e, m, n, k, monkeypatch):
     for name in ("__matmul__", "transpose"):
         monkeypatch.setattr(Matrix, name,
                             lambda *args, name=name: products.append(name))
+    for width in {n, k, m * k}:
+        monkeypatch.setattr(packed_rows(f, width), "dot",
+                            lambda *args: products.append("dot"))
     init, rref = Matrix.__init__, Matrix.rref
 
     def counting_init(self, *args, **kwargs):

@@ -89,13 +89,33 @@ def test_orthogonal_complement_examples(gf2):
     assert e1.orthogonal_complement() == Subspace(gf2, 3, [[0, 1, 0], [0, 0, 1]])
 
 
-def test_spanning_rows_are_validated(gf2):
-    with pytest.raises(ValueError):  # a matrix over another field
-        Subspace(gf2, 2, Matrix(field(5), [[4, 3]]))
-    with pytest.raises(ValueError):
+def test_spanning_rows_are_validated(gf2, monkeypatch):
+    with pytest.raises(ValueError, match=r"in GF\(5\)\^2, ambient GF\(2\)\^2"):
+        Subspace(gf2, 2, Matrix(field(5), [[4, 3]]))  # a matrix over another field
+    with pytest.raises(ValueError, match=r"in GF\(2\)\^2, ambient GF\(2\)\^3"):
         Subspace(gf2, 3, Matrix(gf2, [[1, 0]]))
+    with pytest.raises(ValueError, match="declared 3 columns, rows have 2"):
+        Subspace(gf2, 3, [[1, 0]])
     with pytest.raises(ValueError):
         Subspace(gf2, 2, [[2, 0]])
+    # Rows are checked by the one Matrix built from them, and that Matrix
+    # is not compared with the field again.
+    inits, compared = [], []
+    init, eq = Matrix.__init__, GF.__eq__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_eq(self, other):
+        compared.append(other)
+        return eq(self, other)
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    monkeypatch.setattr(GF, "__eq__", counting_eq)
+    s = Subspace(gf2, 3, [[1, 1, 0], [0, 1, 1]])
+    monkeypatch.undo()
+    assert len(inits) == 1 and compared == []
+    assert s.basis == ((1, 0, 1), (0, 1, 1))
 
 
 def test_containment(gf2):
