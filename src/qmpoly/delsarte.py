@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import check_guard
 from .field import GF, _digits, field
-from .lattice import Subspace, SubspaceLattice, enumerate_subspaces
+from .lattice import (Subspace, SubspaceLattice, _point_sums,
+                      enumerate_subspaces)
 from .matrix import Matrix, PackedRows, packed_rows
 from .polymatroid import (PolymatroidTable, WeightProfile, _first_reaching,
                           conullity_table, generalized_weights)
@@ -165,48 +165,6 @@ def support_space(x: Subspace, m: int) -> DelsarteCode:
     return DelsarteCode._of(Subspace._of(x.field, m * x.n, rows), m, x.n)
 
 
-def _point_blocks(code: DelsarteCode) -> list[int]:
-    """Every point's m-by-k block, in the order of
-    `SubspaceLattice.point_keys`: one int of m*k slots on
-    `packed_rows(field, m*k)`, slot (r, i) the dot of G_i[r] with the
-    point's canonical basis row b.
-
-    The block is linear in b.  A point with pivot c has b_c = 1 and
-    b_j = 0 for j < c, so its block is K_c + sum_(j > c) b_j K_j, where
-    slot (r, i) of the unit block K_j is coordinate j of G_i[r], read off
-    the code's packed row i by shift and mask.  Points come pivot n-1
-    first, and each pivot's fillings of its later coordinates in
-    `lattice._member_keys`' product order: the last coordinate fastest,
-    and each coordinate b_j in element order, its lowest base-p digit
-    fastest.  b_j K_j is GF(p)-linear in b_j, the sum over the digit
-    positions d of digit d times x^d K_j, as `GF._slot_powers` builds its
-    tables.  So the blocks of pivot c grow from [K_c] a digit of a
-    coordinate at a time, the last coordinate and the lowest digit
-    first: the blocks so far, then each of them plus each multiple
-    1..p-1 of x^d K_j.  That is one slot add (XOR when p = 2) per point,
-    with no dot product, and one `PackedRows.times` per digit position
-    of each coordinate.
-    """
-    F, m, n = code.field, code.nrows, code.ncols
-    flat = packed_rows(F, m * code.dim)
-    add, width, mask = flat.add, flat.width, flat.mask
-    blocks: list[int] = []
-    steps: list[list[int]] = []  # the digit multiples of K_(n-1) .. K_(c+1)
-    for c in reversed(range(n)):
-        unit = 0
-        for r in range(m):
-            shift = (m * n - 1 - r * n - c) * width
-            for g in code.space.rows:
-                unit = unit << width | g >> shift & mask
-        out = [unit]
-        for step in steps:
-            out += [add(t, x) for t in step for x in out]
-        blocks += out
-        steps += [list(accumulate(repeat(flat.times(F.slot[F.p ** d], unit),
-                                         F.p - 1), add)) for d in range(F.e)]
-    return blocks
-
-
 def subcode_dims(code: DelsarteCode,
                  lattice: SubspaceLattice) -> tuple[int, ...]:
     """dim of the supported subcode at every lattice member.
@@ -228,36 +186,38 @@ def subcode_dims(code: DelsarteCode,
       has rank k too (axiom R2 of the code's rank function).
     - Linear blocks.  A point's m-by-k block is linear in the point, so
       the blocks of all L points are sums of n unit blocks and their
-      multiples, and scaling a block keeps its row space.  Points share
-      blocks wherever the map from points to blocks has a kernel: always
-      when m*k < n (q^n - 1 non-zero vectors land on at most q^(mk)
-      blocks), and when m*k >= n on codes such as support spaces.
+      multiples, and scaling a block keeps its row space.  The map from
+      points to blocks has a kernel, and points share blocks, exactly
+      when some point's block is zero: always when m*k < n (q^n - 1
+      non-zero vectors land on at most q^(mk) blocks), and when
+      m*k >= n only for codes whose codewords' rows do not span
+      GF(q)^n, such as support spaces.
 
     So the block of each of the L points (lattice positions 1..L) is
-    built as one int of m*k slots, slot (r, i) its entry (r, i), at one
-    slot add per point (`_point_blocks`), and one dict keyed by the block
-    holds the reduced rows of W of each distinct block, packed
-    (`matrix.PackedRows`).  On a miss, when m*k >= n the key's m rows of
-    k slots, shifts of the key, are reduced by one `PackedRows.rref`, with
-    no `Matrix` and no field call, and kept under the key.  When m*k < n
-    the block is scaled to a leading 1 and looked up again; each distinct
-    scaled block is reduced once in the call, as a `Subspace` of GF(q)^k,
-    and kept under the scaled key only, so the dict holds no more entries
-    than there are blocks up to scalars, and a block with a leading 1 is
-    found at once.  Echelon forms are canonical, so both routes give the
-    same lines.  A walk then goes down the parent tree a dimension at a time
-    from the zero space.  It expands only the children
-    (`SubspaceLattice.children`) of the frontier, the members below rank
-    k; only they keep a basis, and a member the walk does not reach is
-    not visited at all.  W of a child is W(parent) with the packed rows
-    of its last line merged in: a short echelon insert into a basis of at
-    most k vectors, stopped once the rank reaches k.  A merge subtracts
-    packed rows (XOR in characteristic 2, a slot-wise add for odd p) and
-    finds each leading coordinate by `int.bit_length`; it scales by
-    `PackedRows.times`, with no field call, and keeps each multiple it
-    makes.  A child whose last line alone has rank k is not merged.  The
-    full code has dim C(X) = m*dim X and the zero code 0; neither needs
-    any of this.
+    built as one int of m*k slots, slot (r, i) its entry (r, i), from
+    the unit blocks at one slot add per point (`lattice._point_sums`).
+    When m*k >= n its m rows of k slots, shifts of it, are reduced to
+    packed rows (`matrix.PackedRows`) by one `PackedRows.rref`, with no
+    `Matrix` and no field call: per point when no block is zero, else
+    per distinct block, kept in a dict keyed by the block.  When m*k < n
+    a block missing from the dict is scaled to a leading 1 and looked up
+    again; each distinct scaled block is reduced once in the call, as a
+    `Subspace` of GF(q)^k, and kept under the scaled key only, so the
+    dict holds no more entries than there are blocks up to scalars, and
+    a block with a leading 1 is found at once.  Echelon forms are
+    canonical, so every route gives the same lines.  A walk then goes
+    down the parent tree a dimension at a time from the zero space.  It
+    expands only the children (`SubspaceLattice.children`) of the
+    frontier, the members below rank k; only they keep a basis, and a
+    member the walk does not reach is not visited at all.  W of a child
+    is W(parent) with the packed rows of its last line merged in: a
+    short echelon insert into a basis of at most k vectors, stopped once
+    the rank reaches k.  A merge subtracts packed rows (XOR in
+    characteristic 2, a slot-wise add for odd p) and finds each leading
+    coordinate by `int.bit_length`; it scales by `PackedRows.times`,
+    with no field call, and keeps each multiple it makes.  A child whose
+    last line alone has rank k is not merged.  The full code has
+    dim C(X) = m*dim X and the zero code 0; neither needs any of this.
     """
     if code.field != lattice.field or code.ncols != lattice.n:
         raise ValueError("lattice ambient does not match code columns")
@@ -270,25 +230,42 @@ def subcode_dims(code: DelsarteCode,
     packed, flat = packed_rows(F, k), packed_rows(F, m * k)
     sub, times, inverse = packed.sub, packed.times, packed.inverse
     width, mask = packed.width, packed.mask
-    # Block row r is the key's slots (r, 0..k-1), by shift and mask.
+    # Slot (r, i) of the unit block K_c is coordinate c of G_i[r], read
+    # off the code's packed row i by shift and mask.
+    units = []
+    for c in range(n):
+        unit = 0
+        for r in range(m):
+            shift = (m * n - 1 - r * n - c) * width
+            for g in code.space.rows:
+                unit = unit << width | g >> shift & mask
+        units.append(unit)
     low = (1 << k * width) - 1
     shifts = [(m - 1 - r) * k * width for r in range(m)]
-    shared: dict[int, tuple[int, ...]] = {}
-    lines: list[tuple[int, ...]] = [()]
-    for key in _point_blocks(code):
-        found = shared.get(key)
-        if found is None:
-            if m * k >= n:
-                found = shared[key] = packed.rref(
-                    [key >> s & low for s in shifts])
-            else:
-                scaled = key and flat.times(inverse(
-                    key >> (key.bit_length() - 1) // width * width), key)
-                found = shared.get(scaled)
-                if found is None:
-                    found = shared[scaled] = Subspace(F, k, [
-                        packed.unpack(scaled >> s & low) for s in shifts]).rows
-        lines.append(found)
+    # lines[i] is point i + 1's block, then the reduced rows of its W.
+    lines: list = _point_sums(flat, units)
+    if m * k >= n and 0 not in lines:
+        # The block map has no kernel: no two points share a block.
+        for i, key in enumerate(lines):
+            lines[i] = packed.rref([key >> s & low for s in shifts])
+    else:
+        shared: dict[int, tuple[int, ...]] = {}
+        for i, key in enumerate(lines):
+            found = shared.get(key)
+            if found is None:
+                if m * k >= n:
+                    found = shared[key] = packed.rref(
+                        [key >> s & low for s in shifts])
+                else:
+                    scaled = key and flat.times(inverse(
+                        key >> (key.bit_length() - 1) // width * width), key)
+                    found = shared.get(scaled)
+                    if found is None:
+                        found = shared[scaled] = Subspace(F, k, [
+                            packed.unpack(scaled >> s & low)
+                            for s in shifts]).rows
+            lines[i] = found
+    lines.insert(0, ())
     # ranks[i] is dim W(member i); members the walk does not reach keep
     # rank k.  A frontier entry, for a member below rank k with children,
     # is the run of its children, its rank and its basis: basis[j] is the

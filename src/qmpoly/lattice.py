@@ -4,10 +4,11 @@ A `Subspace` is held as its canonical basis: the rows of its reduced
 row-echelon form, each packed into one int (`matrix.PackedRows`).  A
 `SubspaceLattice` holds each member as one int, its key: those packed
 rows concatenated, the first row highest.  Enumeration walks
-pivot-column patterns and ORs the free entries into each row directly,
-so every canonical basis is produced exactly once and nothing needs
-deduplicating; the output size equals the answer size.  `Subspace` objects of members are built only when
-asked for, one at a time.
+pivot-column patterns and ORs the free entries into each row directly
+(the points are sums of unit vectors, `_point_sums`), so every
+canonical basis is produced exactly once and nothing needs
+deduplicating; the output size equals the answer size.  `Subspace`
+objects of members are built only when asked for, one at a time.
 
 Lattice members are ordered by dimension and then lexicographically by
 the flattened canonical basis, which is the order of their keys.  The
@@ -215,28 +216,67 @@ def _cutter(packed: PackedRows, bits: int):
     return cut
 
 
+def _point_sums(packed: PackedRows, units) -> list[int]:
+    """sum_c b_c units[c] for the canonical basis row b of each point of
+    GF(q)^n, n = len(units), in lattice order, the units being packed
+    vectors on `packed`: with the unit vectors e_c, the point keys.
+
+    A point with pivot c has b_c = 1 and b_j = 0 for j < c.  Points come
+    pivot n-1 first, and each pivot's fillings of its later coordinates
+    in key order: the last coordinate fastest, and each coordinate b_j
+    by slot value, its lowest base-p digit fastest.  b_j units[j] is
+    GF(p)-linear in b_j, the sum over the digit positions d of digit d
+    times x^d units[j], as `GF._slot_powers` builds its tables.  So the
+    sums of pivot c grow from [units[c]] a digit of a coordinate at a
+    time, the last coordinate and the lowest digit first: the sums so
+    far, then each of them plus each multiple 1..p-1 of x^d units[j].
+    That is one `PackedRows.add` per point, and one `PackedRows.times`
+    per digit position of each coordinate.
+    """
+    F, add = packed.field, packed.add
+    sums: list[int] = []
+    steps: list[list[int]] = []  # the digit multiples of units[n-1..c+1]
+    for unit in reversed(units):
+        out = [unit]
+        for step in steps:
+            out += [add(t, x) for t in step for x in out]
+        sums += out
+        steps += [list(itertools.accumulate(itertools.repeat(
+            packed.times(F.slot[F.p ** d], unit), F.p - 1), add))
+            for d in range(F.e)]
+    return sums
+
+
 def _member_keys(field: GF, n: int) -> tuple[list[int], list[int]]:
     """Every member's key in lattice order, and the number of members
-    of each dimension.  A pivot pattern's bases are the product of its
-    rows' lists: the pivot 1 OR'd with every filling of the free
-    entries; each basis is folded into its key row by row."""
-    width = packed_rows(field, n).width
+    of each dimension.  The points are `_point_sums` of the unit
+    vectors, in the order built.  In any other dimension a pivot
+    pattern's bases are the product of its rows' lists: the pivot 1
+    OR'd with every filling of the free entries; each basis is folded
+    into its key row by row, and the dimension's keys are sorted."""
+    packed = packed_rows(field, n)
+    width = packed.width
     bits = n * width
     keys, counts = [], []
     for d in range(n + 1):
-        start = len(keys)
-        for pivots in itertools.combinations(range(n), d):
-            lists = [[1 << (n - 1 - c) * width] for c in pivots]
-            for c, rows in zip(pivots, lists):
-                for j in set(range(c + 1, n)).difference(pivots):
-                    rows[:] = [r | s << (n - 1 - j) * width
-                               for r in rows for s in field.slot]
-            block = [0]
-            for rows in lists:
-                block = [b << bits | r for b in block for r in rows]
-            keys += block
-        counts.append(len(keys) - start)
-    keys.sort()
+        if d == 1:
+            members = _point_sums(
+                packed, [1 << (n - 1 - c) * width for c in range(n)])
+        else:
+            members = []
+            for pivots in itertools.combinations(range(n), d):
+                lists = [[1 << (n - 1 - c) * width] for c in pivots]
+                for c, rows in zip(pivots, lists):
+                    for j in set(range(c + 1, n)).difference(pivots):
+                        rows[:] = [r | s << (n - 1 - j) * width
+                                   for r in rows for s in field.slot]
+                block = [0]
+                for rows in lists:
+                    block = [b << bits | r for b in block for r in rows]
+                members += block
+            members.sort()
+        keys += members
+        counts.append(len(members))
     return keys, counts
 
 
@@ -311,8 +351,9 @@ class SubspaceLattice:
 
     @property
     def point_keys(self) -> list[int]:
-        """The key of each point, positions 1..L: its one canonical basis
-        row, packed on `packed_rows(field, n)`.  A fresh slice per read."""
+        """The key of each point, positions 1..L, in `_point_sums` order:
+        its one canonical basis row, packed on `packed_rows(field, n)`.
+        A fresh slice per read."""
         return self._keys[1:gaussian_binomial(self.n, 1, self.field.q) + 1]
 
     @property

@@ -354,12 +354,17 @@ def test_subcode_dims_reduces_each_distinct_raw_block_once(gf2, monkeypatch):
     (2, 1, 2, 6, 2), (2, 1, 3, 4, 5), (3, 1, 2, 4, 3), (2, 2, 2, 3, 2),
     (2, 3, 1, 3, 2), (3, 2, 2, 3, 3), (5, 2, 2, 2, 3), (3, 3, 1, 2, 1),
     (5, 1, 1, 1, 1), (2, 16, 1, 2, 1)])
-def test_point_blocks_are_the_dots_of_the_point_keys(p, e, m, n, k):
-    # Block slot (r, i) of each point, in point_keys order, is the dot of
-    # its key with row r of generator i.
+def test_point_sums_of_the_unit_blocks_are_the_dots_of_the_point_keys(
+        p, e, m, n, k):
+    # `_point_sums` of the unit blocks K_c (slot (r, i) coordinate c of
+    # G_i[r]) gives, in point_keys order, each point's block: slot (r, i)
+    # the dot of its key with row r of generator i.
     f = field(p, e)
     lat = enumerate_subspaces(f, n)
     code = random_code(f, m, n, k, random.Random(f"{p}^{e} {m}x{n} {k}"))
+    flat = packed_rows(f, m * k)
+    units = [flat.pack([g[r * n + c] for r in range(m) for g in code.basis])
+             for c in range(n)]
     dot, width = packed_rows(f, n).dot, packed_rows(f, n).width
     low = (1 << n * width) - 1
     want = []
@@ -369,7 +374,7 @@ def test_point_blocks_are_the_dots_of_the_point_keys(p, e, m, n, k):
             for g in code.space.rows:
                 block = block << width | dot(b, g >> (m - 1 - r) * n * width & low)
         want.append(block)
-    assert qmpoly.delsarte._point_blocks(code) == want
+    assert qmpoly.lattice._point_sums(flat, units) == want
 
 
 def test_subcode_dims_merges_make_no_field_calls(monkeypatch):

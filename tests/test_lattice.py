@@ -14,7 +14,7 @@ from qmpoly import (DelsarteCode, GF, GuardExceeded, Matrix, PolymatroidTable,
                     transpose_code, vstack)
 from qmpoly import lattice as lattice_module
 from qmpoly.lattice import MASK_BITS, MAX_MASK_BITS
-from qmpoly.matrix import PackedRows
+from qmpoly.matrix import PackedRows, packed_rows
 
 
 def test_gaussian_binomial_examples():
@@ -60,6 +60,23 @@ def test_members_are_unique_and_ordered(gf3):
     assert keys == sorted(keys)
     assert lat.dims[lat.zero_index] == 0
     assert lat.dims[lat.full_index] == 3
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 5), (3, 1, 4), (2, 2, 3),
+                                   (2, 3, 2), (3, 2, 3), (5, 2, 2),
+                                   (3, 3, 2), (2053, 1, 2), (2, 16, 2),
+                                   (2, 1, 1), (3, 1, 0)])
+def test_points_are_built_in_key_order(p, e, n):
+    # The points, built in order as sums of unit vectors (`_point_sums`),
+    # ascend like the sorted keys of every other dimension, so the
+    # lattice order is the key order.
+    f = field(p, e)
+    lat = SubspaceLattice(f, n)
+    packed = packed_rows(f, n)
+    assert lat._keys == sorted(lat._keys)
+    assert [packed.unpack(b) for b in lat.point_keys] == [
+        list(s.basis[0]) for s in reference_routes.all_subspaces(f, n)
+        if s.dim == 1]
 
 
 def test_ordering_is_stable_across_builds(gf2):
