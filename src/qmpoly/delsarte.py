@@ -186,38 +186,36 @@ def subcode_dims(code: DelsarteCode,
       has rank k too (axiom R2 of the code's rank function).
     - Linear blocks.  A point's m-by-k block is linear in the point, so
       the blocks of all L points are sums of n unit blocks and their
-      multiples, and scaling a block keeps its row space.  The map from
-      points to blocks has a kernel, and points share blocks, exactly
-      when some point's block is zero: always when m*k < n (q^n - 1
-      non-zero vectors land on at most q^(mk) blocks), and when
-      m*k >= n only for codes whose codewords' rows do not span
-      GF(q)^n, such as support spaces.
+      multiples, and scaling a block keeps its row space.  Points share
+      blocks up to scalars always when m*k < n (q^n - 1 non-zero
+      vectors land on at most q^(mk) blocks), and when m*k >= n only
+      where some block is zero, as on support spaces.
 
     So the block of each of the L points (lattice positions 1..L) is
     built as one int of m*k slots, slot (r, i) its entry (r, i), from
     the unit blocks at one slot add per point (`lattice._point_sums`).
-    When m*k >= n its m rows of k slots, shifts of it, are reduced to
-    packed rows (`matrix.PackedRows`) by one `PackedRows.rref`, with no
-    `Matrix` and no field call: per point when no block is zero, else
-    per distinct block, kept in a dict keyed by the block.  When m*k < n
-    a block missing from the dict is scaled to a leading 1 and looked up
-    again; each distinct scaled block is reduced once in the call, as a
-    `Subspace` of GF(q)^k, and kept under the scaled key only, so the
-    dict holds no more entries than there are blocks up to scalars, and
-    a block with a leading 1 is found at once.  Echelon forms are
-    canonical, so every route gives the same lines.  A walk then goes
-    down the parent tree a dimension at a time from the zero space.  It
-    expands only the children (`SubspaceLattice.children`) of the
-    frontier, the members below rank k; only they keep a basis, and a
-    member the walk does not reach is not visited at all.  W of a child
-    is W(parent) with the packed rows of its last line merged in: a
+    When m*k < n a block missing from a dict is scaled to a leading 1
+    and looked up again; each distinct scaled block is reduced once in
+    the call, as a `Subspace` of GF(q)^k, and kept under the scaled key
+    only, so the dict holds no more entries than there are blocks up to
+    scalars.  A walk then goes down the parent tree a dimension at a
+    time from the zero space.  It expands only the children
+    (`SubspaceLattice.children`) of the frontier, the members below
+    rank k; only they keep a basis, and a member the walk does not
+    reach is not visited at all.  W of a child is W(parent) with the
+    packed rows (`matrix.PackedRows`) of its last line merged in: a
     short echelon insert into a basis of at most k vectors, stopped once
     the rank reaches k.  A merge subtracts packed rows (XOR in
     characteristic 2, a slot-wise add for odd p) and finds each leading
     coordinate by `int.bit_length`; it scales by `PackedRows.times`,
-    with no field call, and keeps each multiple it makes.  A child whose
-    last line alone has rank k is not merged.  The full code has
-    dim C(X) = m*dim X and the zero code 0; neither needs any of this.
+    with no field call, and keeps each multiple it makes.  When
+    m*k >= n the points are the walk's first level and nothing is
+    reduced before it: each point merges the m rows of k slots of its
+    block, shifts of its int, into the empty basis, a zero row merging
+    to nothing, and the non-zero rows of the basis it ends with are its
+    line below.  A child whose last line alone has rank k is not merged.
+    The full code has dim C(X) = m*dim X and the zero code 0; neither
+    needs any of this.
     """
     if code.field != lattice.field or code.ncols != lattice.n:
         raise ValueError("lattice ambient does not match code columns")
@@ -242,28 +240,20 @@ def subcode_dims(code: DelsarteCode,
         units.append(unit)
     low = (1 << k * width) - 1
     shifts = [(m - 1 - r) * k * width for r in range(m)]
-    # lines[i] is point i + 1's block, then the reduced rows of its W.
+    # lines[i] is point i + 1's block, then the echelon rows of its W.
     lines: list = _point_sums(flat, units)
-    if m * k >= n and 0 not in lines:
-        # The block map has no kernel: no two points share a block.
-        for i, key in enumerate(lines):
-            lines[i] = packed.rref([key >> s & low for s in shifts])
-    else:
+    if m * k < n:
         shared: dict[int, tuple[int, ...]] = {}
         for i, key in enumerate(lines):
             found = shared.get(key)
             if found is None:
-                if m * k >= n:
-                    found = shared[key] = packed.rref(
-                        [key >> s & low for s in shifts])
-                else:
-                    scaled = key and flat.times(inverse(
-                        key >> (key.bit_length() - 1) // width * width), key)
-                    found = shared.get(scaled)
-                    if found is None:
-                        found = shared[scaled] = Subspace(F, k, [
-                            packed.unpack(scaled >> s & low)
-                            for s in shifts]).rows
+                scaled = key and flat.times(inverse(
+                    key >> (key.bit_length() - 1) // width * width), key)
+                found = shared.get(scaled)
+                if found is None:
+                    found = shared[scaled] = Subspace(F, k, [
+                        packed.unpack(scaled >> s & low)
+                        for s in shifts]).rows
             lines[i] = found
     lines.insert(0, ())
     # ranks[i] is dim W(member i); members the walk does not reach keep
@@ -275,13 +265,17 @@ def subcode_dims(code: DelsarteCode,
     multiples: dict[tuple[int, int], int] = {}
     children, line_of = lattice.children, lattice.parents[1]
     frontier = [(range(children[0], children[1]), 0, [0] * k)]
+    raw = m * k >= n  # the points merge their raw block rows
     while frontier:
         below = []
         for run, parent_rank, parent_basis in frontier:
             for i in run:
-                new = lines[line_of[i]]
-                if len(new) == k:
-                    continue
+                if raw:
+                    new = [lines[i] >> s & low for s in shifts]
+                else:
+                    new = lines[line_of[i]]
+                    if len(new) == k:
+                        continue
                 rank, basis = parent_rank, parent_basis[:]
                 for v in new:
                     while v:
@@ -305,7 +299,9 @@ def subcode_dims(code: DelsarteCode,
                     if children[i] < children[i + 1]:
                         below.append((range(children[i], children[i + 1]),
                                       rank, basis))
-        frontier = below
+                if raw:
+                    lines[i] = [b for b in basis if b]
+        frontier, raw = below, False
     return tuple([k - ranks[c] for c in lattice.complements])
 
 
@@ -321,7 +317,7 @@ def to_polymatroid(code: DelsarteCode,
     dims = subcode_dims(code, lat)
     k = code.dim
     vals = [k - dims[c] for c in lat.complements]
-    return PolymatroidTable(lat, code.nrows, vals)
+    return PolymatroidTable._of(lat, code.nrows, vals)
 
 
 def trace_dual(code: DelsarteCode) -> DelsarteCode:
@@ -402,8 +398,9 @@ def transpose_min_polymatroid(
         raise ValueError("defined for square matrix codes only")
     table = to_polymatroid(code, lattice)
     other = to_polymatroid(transpose_code(code), table.lattice)
-    return PolymatroidTable(table.lattice, code.nrows,
-                            [min(a, b) for a, b in zip(table.values, other.values)])
+    return PolymatroidTable._of(
+        table.lattice, code.nrows,
+        [min(a, b) for a, b in zip(table.values, other.values)])
 
 
 def _block_table(spaces: Sequence[Subspace], weights: Sequence[int],
@@ -421,7 +418,7 @@ def _block_table(spaces: Sequence[Subspace], weights: Sequence[int],
     for v, w in zip(spaces, weights):
         table = to_polymatroid(support_space(v, 1), lat)
         vals = [a + w * b for a, b in zip(vals, table.values)]
-    return PolymatroidTable(lat, sum(weights), vals)
+    return PolymatroidTable._of(lat, sum(weights), vals)
 
 
 def sum_polymatroid(blocks: Sequence[Subspace],

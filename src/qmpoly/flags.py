@@ -117,7 +117,7 @@ def flag_polymatroid(flag: Flag,
     for i, code in enumerate(flag.codes[1:], 1):
         vals = list(map(operator.sub if i % 2 else operator.add, vals,
                         to_polymatroid(code, lat).values))
-    return PolymatroidTable(lat, m, vals)
+    return PolymatroidTable._of(lat, m, vals)
 
 
 def flag_weights(flag: Flag,

@@ -169,6 +169,21 @@ class PolymatroidTable:
         self._dual = None
         self._profiles = None
 
+    @classmethod
+    def _of(cls, lattice: SubspaceLattice, m: int,
+            values: Sequence[int]) -> PolymatroidTable:
+        # Trusted path for one int per member, computed by the library;
+        # a code's row count is not bounded below, so m is still checked.
+        if m < 1:
+            raise ValueError("multiplier m must be >= 1")
+        table = object.__new__(cls)
+        table.lattice = lattice
+        table.m = m
+        table.values = tuple(values)
+        table._dual = None
+        table._profiles = None
+        return table
+
     @property
     def rank(self) -> int:
         return self.values[-1]  # the full space is the last member
@@ -197,7 +212,7 @@ class PolymatroidTable:
         """
         if self._dual is None:
             lat, m, k, vals = self.lattice, self.m, self.rank, self.values
-            self._dual = PolymatroidTable(
+            self._dual = PolymatroidTable._of(
                 lat, m, [vals[c] + m * d - k
                          for d, c in zip(lat.dims, lat.complements)])
         return self._dual
@@ -228,14 +243,15 @@ def uniform(r: int, n: int, m: int, field: GF) -> PolymatroidTable:
 def nullity_table(table: PolymatroidTable) -> PolymatroidTable:
     """The table X -> m*dim X - rho(X)."""
     lat, m = table.lattice, table.m
-    return PolymatroidTable(lat, m, [m * d - v
-                                     for d, v in zip(lat.dims, table.values)])
+    return PolymatroidTable._of(
+        lat, m, [m * d - v for d, v in zip(lat.dims, table.values)])
 
 
 def conullity_table(table: PolymatroidTable) -> PolymatroidTable:
     """The table X -> rho(E) - rho(X_perp)."""
     lat, k, vals = table.lattice, table.rank, table.values
-    return PolymatroidTable(lat, table.m, [k - vals[c] for c in lat.complements])
+    return PolymatroidTable._of(lat, table.m,
+                                [k - vals[c] for c in lat.complements])
 
 
 def _upper_covers(lat: SubspaceLattice) -> list[list[int]]:

@@ -129,18 +129,13 @@ def test_weights_gabidulin(tmp_path, capsys):
 
 
 def test_weights_report_builds_the_dual_and_scans_weights_once(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, monkeypatch, on_table_built):
     # one table and the dual table that R4 reads; one weight scan, on the
     # table itself; the Wei report builds no table
     path = gen_gabidulin(tmp_path, capsys)
     tables, scans, in_wei = [], [], []
-    init = qmpoly.PolymatroidTable.__init__
     scan = qmpoly.polymatroid.weight_witnesses
     wei = qmpoly.cli.wei_duality_report
-
-    def counting_init(self, *args):
-        tables.append(bool(in_wei))
-        init(self, *args)
 
     def counting_scan(table):
         scans.append(table.rank)
@@ -152,7 +147,7 @@ def test_weights_report_builds_the_dual_and_scans_weights_once(
             return wei(table)
         finally:
             in_wei.pop()
-    monkeypatch.setattr(qmpoly.PolymatroidTable, "__init__", counting_init)
+    on_table_built(lambda m: tables.append(bool(in_wei)))
     monkeypatch.setattr(qmpoly.polymatroid, "weight_witnesses", counting_scan)
     # counted also if the CLI binds the scan by name and calls it again
     monkeypatch.setattr(qmpoly.cli, "weight_witnesses", counting_scan,
@@ -560,25 +555,20 @@ def test_verify_flag_duality_builds_each_table_once(tmp_path, capsys,
 
 @pytest.mark.parametrize("m, n, tables", [(3, 3, 2), (3, 2, 1), (2, 3, 2)])
 def test_weights_anticode_reuses_the_report_table(tmp_path, capsys,
-                                                  monkeypatch, gf2, m, n,
-                                                  tables):
+                                                  monkeypatch, on_table_built,
+                                                  gf2, m, n, tables):
     # the code's table is built once for the report; --anticode adds
     # only the transpose's subcode dimensions where the shape needs them,
     # and no rank table: the report builds the code's table and the dual
     # that R4 reads
     calls, built = [], []
     dims = qmpoly.delsarte.subcode_dims
-    init = qmpoly.PolymatroidTable.__init__
 
     def counting(code, lattice):
         calls.append(code.shape)
         return dims(code, lattice)
-
-    def counting_init(self, *args):
-        built.append(args[1])
-        init(self, *args)
     monkeypatch.setattr(qmpoly.delsarte, "subcode_dims", counting)
-    monkeypatch.setattr(qmpoly.PolymatroidTable, "__init__", counting_init)
+    on_table_built(built.append)
     code = qmpoly.random_code(gf2, m, n, 4, random.Random(m * n))
     path = tmp_path / "code.json"
     path.write_text(dump_code_lines([code]))

@@ -219,10 +219,10 @@ def test_subcode_dims_shared_blocks_match_the_per_member_formula(code):
 
 @st.composite
 def per_point_block_codes(draw):
-    """Codes with m*k >= n, whose distinct point blocks are each reduced
-    once on packed rows: random codes, and subcodes of the support space
-    of a proper subspace X, whose blocks vanish at the points of X_perp
-    and lose rank at others."""
+    """Codes with m*k >= n, whose points merge their raw block rows at
+    the walk's first level: random codes, and subcodes of the support
+    space of a proper subspace X, whose blocks vanish at the points of
+    X_perp and lose rank at others."""
     p, e, m, n = draw(st.sampled_from([
         (2, 1, 2, 4), (2, 1, 3, 4), (2, 1, 2, 5), (3, 1, 2, 3),
         (3, 1, 3, 3), (2, 2, 2, 3), (5, 1, 2, 3), (3, 2, 2, 2),
@@ -305,47 +305,49 @@ def test_subcode_dims_reduces_each_distinct_block_once(p, e, m, n, k, most,
         assert dims == reference_subcode_dims(code, lat)
 
 
-def test_subcode_dims_row_reduces_once_per_point(gf2, monkeypatch):
-    # GF(2)^5 has 374 members and 31 points; one row reduction per
-    # member would make 372 calls per code.  With m*k >= n each point's
-    # block is reduced once on packed rows, and no Matrix is reduced.
-    lat = enumerate_subspaces(gf2, 5)
-    code = random_code(gf2, 3, 5, 6, random.Random(3))
-    packed, matrix = [], []
+def reductions_in_subcode_dims(code, lat, monkeypatch):
+    """subcode_dims(code, lat) and the `PackedRows.rref` and
+    `Matrix.rref` calls it makes."""
+    calls = []
     packed_rref, matrix_rref = PackedRows.rref, Matrix.rref
 
     def counting_packed(self, rows):
-        packed.append(len(rows))
+        calls.append(("packed", len(rows)))
         return packed_rref(self, rows)
 
     def counting_matrix(self):
-        matrix.append(self.shape)
+        calls.append(("matrix", self.shape))
         return matrix_rref(self)
     monkeypatch.setattr(PackedRows, "rref", counting_packed)
     monkeypatch.setattr(Matrix, "rref", counting_matrix)
     dims = subcode_dims(code, lat)
     monkeypatch.undo()
-    assert packed == [3] * 31 and matrix == []
+    return dims, calls
+
+
+def test_subcode_dims_reduces_no_block_when_none_is_zero(gf2, monkeypatch):
+    # GF(2)^5 has 374 members and 31 points, and the 31 blocks are
+    # distinct, so none is zero.  The points are the walk's first level:
+    # each merges its raw block rows into an empty basis, so no block
+    # and no member is row reduced.
+    lat = enumerate_subspaces(gf2, 5)
+    code = random_code(gf2, 3, 5, 6, random.Random(3))
+    dims, calls = reductions_in_subcode_dims(code, lat, monkeypatch)
+    assert calls == []
+    assert distinct_blocks_up_to_scalars(code, lat, scaled=False) == 31
     assert dims == reference_subcode_dims(code, lat)
 
 
-def test_subcode_dims_reduces_each_distinct_raw_block_once(gf2, monkeypatch):
+def test_subcode_dims_reduces_no_block_when_blocks_vanish(gf2, monkeypatch):
     # m*k = 18 >= n = 6, but a block depends on the point only through
-    # its dots with the basis of X, so the 63 points carry 4 blocks, and
-    # each is reduced once on packed rows.
+    # its dots with the basis of X, so the 63 points carry 4 blocks, the
+    # zero block among them.  A zero row merges to nothing, so shared
+    # blocks need no dict and no row reduction either.
     x = Subspace(gf2, 6, [(1, 0, 0, 1, 1, 0), (0, 1, 0, 0, 1, 1)])
     code = support_space(x, 3)
     lat = enumerate_subspaces(gf2, 6)
-    calls = []
-    rref = PackedRows.rref
-
-    def counting(self, rows):
-        calls.append(len(rows))
-        return rref(self, rows)
-    monkeypatch.setattr(PackedRows, "rref", counting)
-    dims = subcode_dims(code, lat)
-    monkeypatch.undo()
-    assert calls == [3] * 4
+    dims, calls = reductions_in_subcode_dims(code, lat, monkeypatch)
+    assert calls == []
     assert distinct_blocks_up_to_scalars(code, lat, scaled=False) == 4
     assert dims == reference_subcode_dims(code, lat)
 
@@ -378,9 +380,11 @@ def test_point_sums_of_the_unit_blocks_are_the_dots_of_the_point_keys(
 
 
 def test_subcode_dims_merges_make_no_field_calls(monkeypatch):
-    # When m*k >= n the block sums, the packed reductions of the distinct
-    # blocks and the packed merges scale through the field's slot tables:
-    # no field method is called anywhere in subcode_dims.
+    # When m*k >= n the block sums, the points' merges of their raw block
+    # rows and the merges below them scale through the field's slot
+    # tables: no field method is called anywhere in subcode_dims.  The
+    # GF(9) support space has a zero block, at the point X_perp, and
+    # blocks whose leading entries are not 1.
     calls = []
 
     def counted(fn):
@@ -388,18 +392,37 @@ def test_subcode_dims_merges_make_no_field_calls(monkeypatch):
             calls.append(fn.__name__)
             return fn(*args)
         return wrapper
-    for p, e, m, n, k in [(2, 1, 3, 6, 7), (3, 1, 2, 4, 5), (2, 2, 2, 3, 4),
-                          (5, 1, 2, 3, 2)]:
-        f = field(p, e)
-        lat = enumerate_subspaces(f, n)
-        code = random_code(f, m, n, k, random.Random(6))
-        assert m * k >= n
+    codes = [random_code(field(p, e), m, n, k, random.Random(6))
+             for p, e, m, n, k in [(2, 1, 3, 6, 7), (3, 1, 2, 4, 5),
+                                   (2, 2, 2, 3, 4), (5, 1, 2, 3, 2)]]
+    codes.append(support_space(
+        Subspace(field(3, 2), 3, [(1, 0, 4), (0, 1, 7)]), 2))
+    for code in codes:
+        f = code.field
+        lat = enumerate_subspaces(f, code.ncols)
+        assert code.nrows * code.dim >= code.ncols
         for name in ("add", "sub", "mul", "neg", "inv", "pow"):
             monkeypatch.setattr(type(f), name, counted(getattr(type(f), name)))
         dims = subcode_dims(code, lat)
         monkeypatch.undo()
-        assert calls == [], (p, e)
+        assert calls == [], code
         assert dims == reference_subcode_dims(code, lat)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 3), (2, 2, 3), (3, 2, 2)])
+def test_subcode_dims_of_support_spaces_match_the_per_member_formula(p, e, n):
+    # Every proper non-zero X has points in X_perp, whose blocks are zero
+    # in the support space of X; with m*k >= n they merge to nothing at
+    # the walk's first level.  GF(9) has slot encodings that differ from
+    # its elements.
+    f = field(p, e)
+    lat = enumerate_subspaces(f, n)
+    for x in lat:
+        for m in range(1, 4):
+            if x.dim and m * m * x.dim >= n:
+                code = support_space(x, m)
+                assert subcode_dims(code, lat) == reference_subcode_dims(
+                    code, lat), (x, m)
 
 
 @pytest.mark.parametrize("p,e,m,n,k", [(2, 1, 3, 5, 6), (3, 2, 2, 3, 3),

@@ -74,6 +74,41 @@ def test_table_values_must_be_integers(gf2):
     assert all(type(v) is int for v in t.values)
 
 
+def test_library_tables_are_built_unchecked_and_outside_values_checked(
+        gf2, monkeypatch):
+    # Tables the library computes go through the trusted
+    # `PolymatroidTable._of`, with no per-value `operator.index` pass;
+    # the public constructor, which outside values reach, still checks.
+    lat = enumerate_subspaces(gf2, 3)
+    code = random_code(gf2, 2, 3, 3, random.Random(5))
+    built = []
+    init = PolymatroidTable.__init__
+
+    def counting(self, *args):
+        built.append(args[1])
+        init(self, *args)
+    monkeypatch.setattr(PolymatroidTable, "__init__", counting)
+    table = to_polymatroid(code, lat)
+    line = Subspace(gf2, 3, [(1, 0, 1)])
+    for t in (table.dual(), nullity_table(table), conullity_table(table),
+              sum_polymatroid([line], lat),
+              intersection_demipolymatroid([line], [2], lat),
+              qmpoly.transpose_min_polymatroid(
+                  random_code(gf2, 3, 3, 4, random.Random(5)), lat),
+              qmpoly.flag_polymatroid(
+                  qmpoly.random_flag(gf2, 2, 3, 2, random.Random(5)), lat)):
+        assert len(t.values) == len(lat)
+    assert built == []
+    for bad in (0.5, 2.0, "1"):
+        with pytest.raises(TypeError):
+            PolymatroidTable(lat, 2, [bad] + list(table.values[1:]))
+    monkeypatch.undo()
+    t = PolymatroidTable(lat, 1, [False] + [True] * (len(lat) - 1))
+    assert all(type(v) is int for v in t.values) and t.rank == 1
+    with pytest.raises(ValueError):
+        PolymatroidTable._of(lat, 0, table.values)
+
+
 def test_table_passes_make_no_per_member_method_calls(gf2, monkeypatch):
     # Counted in calls, not seconds: each pass reads the value tuple
     # directly, so a member costs no nullity_at/conullity_at/rank call.
@@ -348,7 +383,7 @@ def test_weight_witnesses(gf2):
         assert all(t.conullity_at(i) < r for i in range(idx))
 
 
-def test_weight_routes_build_no_table(gf2, monkeypatch):
+def test_weight_routes_build_no_table(gf2, monkeypatch, on_table_built):
     # Every weight is read off a profile: no dual, transpose-min or
     # transpose table is built, and relative_weights builds only the
     # pair flag's own table.
@@ -358,12 +393,7 @@ def test_weight_routes_build_no_table(gf2, monkeypatch):
     tables = [qmpoly.to_polymatroid(c) for c in codes]
     inner = qmpoly.random_subcode(codes[0], 2, rng)
     built, in_flag = [], []
-    init, flag_table = PolymatroidTable.__init__, qmpoly.flags.flag_polymatroid
-
-    def counting_init(self, *args):
-        if not in_flag:
-            built.append(args)
-        init(self, *args)
+    flag_table = qmpoly.flags.flag_polymatroid
 
     def marked_flag_table(*args):
         in_flag.append(True)
@@ -371,7 +401,7 @@ def test_weight_routes_build_no_table(gf2, monkeypatch):
             return flag_table(*args)
         finally:
             in_flag.pop()
-    monkeypatch.setattr(PolymatroidTable, "__init__", counting_init)
+    on_table_built(lambda m: in_flag or built.append(m))
     monkeypatch.setattr(PolymatroidTable, "dual",
                         lambda self: pytest.fail("dual table built"))
     monkeypatch.setattr(qmpoly.flags, "flag_polymatroid", marked_flag_table)
